@@ -34,7 +34,7 @@
 //! boundary re-executes exactly as the uninterrupted run did.
 
 use crate::access_log::AccessLog;
-use crate::engine::{record_outcome, FaultEventWatermark};
+use crate::engine::{active_modes, Drive, FaultEventWatermark, ResumePoint};
 use crate::overload::OverloadConfig;
 use starcdn::metrics::{AvailabilityPoint, NeighborAvailability, SystemMetrics};
 use starcdn::system::{CdnState, SpaceCdn};
@@ -49,8 +49,8 @@ use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_io::{Io, RealIo};
 use starcdn_orbit::walker::SatelliteId;
 use starcdn_telemetry::{
-    Counter, Event, Histo, HistogramSnapshot, MemoryRecorder, Noop, Recorder, SpanStats, SpanTimer,
-    Stage, TelemetrySnapshot,
+    Counter, Event, Histo, HistogramSnapshot, MemoryRecorder, Noop, Recorder, SpanStats, Stage,
+    TelemetrySnapshot,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -1327,23 +1327,79 @@ pub fn metrics_digest(m: &SystemMetrics) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The checkpointed engine driver.
+// Checkpointed engine runs: the writer the engine driver calls at each
+// epoch boundary, and newest-first resume loading.
 // ---------------------------------------------------------------------------
 
-struct ResumeState {
-    prev_epoch: u64,
-    entry_index: usize,
-    boundary_epoch: u64,
-    cursor: Option<(u64, FailureModel)>,
-    ledger: Option<Vec<EpochUsageState>>,
-    watermark: [u64; 3],
-    telemetry: Option<TelemetrySnapshot>,
+/// The checkpoint writer of one [`Drive`]: at every `every_n_epochs`
+/// boundary it snapshots the fleet, the cursor, the ledger, the
+/// fault-event watermark and the in-run telemetry into one atomic file.
+pub(crate) struct EngineWriter<'a> {
+    policy: &'a CheckpointPolicy,
+    io: &'a dyn Io,
+    fingerprint: u64,
+    /// The in-run recorder whose snapshot each file carries (`None` when
+    /// the caller's recorder is disabled).
+    telemetry: Option<&'a MemoryRecorder>,
+    /// Boundary of the newest file written or resumed from: a resumed
+    /// run re-enters that boundary and must not rewrite its file.
+    last_written: Option<u64>,
+}
+
+impl EngineWriter<'_> {
+    /// Called on entering `epoch` from `prev_epoch`, before any of the
+    /// boundary's actions, with entry `entry_index` not yet processed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn at_boundary(
+        &mut self,
+        cdn: &SpaceCdn,
+        entry_index: usize,
+        prev_epoch: u64,
+        epoch: u64,
+        cursor: Option<&ScheduleCursor>,
+        ledger: Option<&CapacityLedger>,
+        watermark: FaultEventWatermark,
+    ) -> Result<(), CheckpointError> {
+        let every_n = self.policy.every_n_epochs.max(1);
+        if epoch / every_n == prev_epoch / every_n || self.last_written == Some(epoch) {
+            return Ok(());
+        }
+        let meta = EngineMeta {
+            fingerprint: self.fingerprint,
+            boundary_epoch: epoch,
+            prev_epoch,
+            entry_index: entry_index as u64,
+            use_cursor: cursor.is_some(),
+            use_overload: ledger.is_some(),
+        };
+        let state = cdn.export_state();
+        let body = EngineBody {
+            failures: state.failures,
+            caches: state.caches,
+            inflight: state.inflight,
+            cold: state.cold,
+            metrics: state.metrics,
+            cursor: cursor.map(|c| (c.position() as u64, c.view().clone())),
+            ledger: ledger.map(|l| l.export_state()),
+            watermark: [watermark.remapped, watermark.extra_hops, watermark.cold_misses],
+        };
+        let tele = self.telemetry.map(|m| m.snapshot());
+        let bytes = encode_container(
+            KIND_ENGINE,
+            &encode_engine_meta(&meta),
+            &encode_engine_body(&body),
+            &encode_telemetry_section(tele.as_ref()),
+        );
+        write_atomic(self.io, &self.policy.dir, epoch, &bytes, self.policy.keep_last)?;
+        self.last_written = Some(epoch);
+        Ok(())
+    }
 }
 
 /// Run the full request lifecycle — plain, fault-scheduled, or
-/// overload-aware, selected exactly as
-/// [`crate::engine::run_space_overloaded_recorded`] selects — while
-/// writing crash-consistent checkpoints per [`CheckpointPolicy`].
+/// overload-aware, selected by the same rule as
+/// [`crate::engine::run_space_overloaded_recorded`] — while writing
+/// crash-consistent checkpoints per [`CheckpointPolicy`].
 ///
 /// Simulation output (metrics, latency samples, telemetry counters,
 /// histograms, and events) is bit-for-bit identical to the matching
@@ -1372,7 +1428,7 @@ pub fn run_space_checkpointed_io(
     io: &dyn Io,
 ) -> Result<SystemMetrics, CheckpointError> {
     sweep_stale_tmps_io(io, &policy.dir);
-    drive_checkpointed(cdn, log, schedule, overload, policy, rec, None, io)
+    drive_checkpointed(cdn, log, schedule, overload, policy, rec, io, None)
 }
 
 /// Resume an interrupted [`run_space_checkpointed`] run from the newest
@@ -1407,47 +1463,33 @@ pub fn resume_space_checkpointed_io(
     rec: &dyn Recorder,
     io: &dyn Io,
 ) -> Result<SystemMetrics, CheckpointError> {
-    let use_overload = overload.is_enabled();
-    let use_cursor = !schedule.is_empty();
-    let epoch_secs = log.epoch_secs.max(1);
-    let fingerprint = config_fingerprint(cdn, epoch_secs, schedule, overload);
+    let (sched, ov) = active_modes(schedule, overload);
+    let fingerprint = config_fingerprint(cdn, log.epoch_secs.max(1), schedule, overload);
     sweep_stale_tmps_io(io, &policy.dir);
     let files = list_checkpoint_files_io(io, &policy.dir);
     for (epoch, path) in files.iter().rev() {
-        let resume = match try_load_engine(io, path, fingerprint, use_cursor, use_overload, log) {
-            Ok((meta, body, telemetry)) => {
-                let state = CdnState {
-                    failures: body.failures,
-                    caches: body.caches,
-                    inflight: body.inflight,
-                    cold: body.cold,
-                    metrics: body.metrics,
-                };
-                if cdn.import_state(state).is_err() {
-                    rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                    continue;
-                }
-                ResumeState {
-                    prev_epoch: meta.prev_epoch,
-                    entry_index: meta.entry_index as usize,
-                    boundary_epoch: meta.boundary_epoch,
-                    cursor: body.cursor,
-                    ledger: body.ledger,
-                    watermark: body.watermark,
-                    telemetry,
-                }
+        let loaded = try_load_engine(io, path, fingerprint, sched.is_some(), ov.is_some(), log);
+        if let Ok((state, resume)) = loaded {
+            if cdn.import_state(state).is_ok() {
+                let resume = Some(resume);
+                return drive_checkpointed(cdn, log, schedule, overload, policy, rec, io, resume);
             }
-            Err(_) => {
-                rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                continue;
-            }
-        };
-        return drive_checkpointed(cdn, log, schedule, overload, policy, rec, Some(resume), io);
+        }
+        rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
     }
     Err(CheckpointError::NoValidCheckpoint)
 }
 
-#[allow(clippy::type_complexity)]
+/// The run-loop parts of a loaded engine checkpoint; the fleet state is
+/// imported into the [`SpaceCdn`] directly.
+struct Resumed {
+    meta: EngineMeta,
+    cursor: Option<(u64, FailureModel)>,
+    ledger: Option<Vec<EpochUsageState>>,
+    watermark: [u64; 3],
+    telemetry: Option<TelemetrySnapshot>,
+}
+
 fn try_load_engine(
     io: &dyn Io,
     path: &Path,
@@ -1455,7 +1497,7 @@ fn try_load_engine(
     use_cursor: bool,
     use_overload: bool,
     log: &AccessLog,
-) -> Result<(EngineMeta, EngineBody, Option<TelemetrySnapshot>), CheckpointError> {
+) -> Result<(CdnState, Resumed), CheckpointError> {
     let bytes = io.read(path)?;
     let raw = decode_container(&bytes)?;
     if raw.kind != KIND_ENGINE {
@@ -1471,18 +1513,18 @@ fn try_load_engine(
     if meta.entry_index as usize > log.entries.len() {
         return Err(CheckpointError::ConfigMismatch);
     }
-    let body = decode_engine_body(&raw.body)?;
-    if use_cursor != body.cursor.is_some() || use_overload != body.ledger.is_some() {
+    let EngineBody { failures, caches, inflight, cold, metrics, cursor, ledger, watermark } =
+        decode_engine_body(&raw.body)?;
+    if use_cursor != cursor.is_some() || use_overload != ledger.is_some() {
         return Err(CheckpointError::Malformed("mode does not match stored sections"));
     }
     let telemetry = decode_telemetry_section(&raw.telemetry)?;
-    Ok((meta, body, telemetry))
+    let state = CdnState { failures, caches, inflight, cold, metrics };
+    Ok((state, Resumed { meta, cursor, ledger, watermark, telemetry }))
 }
 
-/// One driver covering all three engine modes, with the mode-specific
-/// blocks copied branch-for-branch from `run_space_entries_recorded`,
-/// `drive_with_faults`, and `drive_overloaded` so simulation output is
-/// identical to the non-checkpointed paths.
+/// The engine [`Drive`] with an [`EngineWriter`], fresh or restored from
+/// `resume`.
 ///
 /// When `rec` is enabled, recording goes through an internal
 /// [`MemoryRecorder`] (snapshotted into each checkpoint) and is absorbed
@@ -1497,250 +1539,48 @@ fn drive_checkpointed(
     overload: &OverloadConfig,
     policy: &CheckpointPolicy,
     rec: &dyn Recorder,
-    resume: Option<ResumeState>,
     io: &dyn Io,
+    resume: Option<Resumed>,
 ) -> Result<SystemMetrics, CheckpointError> {
-    let use_overload = overload.is_enabled();
-    let use_cursor = !schedule.is_empty();
-    let faulty = use_cursor || use_overload;
-    let prefetching = cdn.config().prefetch_top_k.is_some();
-    let enabled = rec.is_enabled();
     let epoch_secs = log.epoch_secs.max(1);
-    let epoch_ms = epoch_secs as f64 * 1000.0;
-    let span_planes = cdn.config().relay_span_planes();
-    let every_n = policy.every_n_epochs.max(1);
-    let fingerprint = config_fingerprint(cdn, epoch_secs, schedule, overload);
-
-    let mrec = enabled.then(MemoryRecorder::new);
-    let noop = Noop;
-    let eff: &dyn Recorder = match &mrec {
-        Some(m) => m,
-        None => &noop,
+    let mrec = rec.is_enabled().then(MemoryRecorder::new);
+    let mut drive = Drive::new(cdn, epoch_secs, schedule, overload);
+    let mut writer = EngineWriter {
+        policy,
+        io,
+        fingerprint: config_fingerprint(cdn, epoch_secs, schedule, overload),
+        telemetry: mrec.as_ref(),
+        last_written: None,
     };
-
-    let mut ledger = use_overload.then(|| {
-        CapacityLedger::new(
-            &cdn.config().grid,
-            &cdn.config().link_model,
-            epoch_secs,
-            overload.headroom,
-        )
-    });
-    let mut cursor = use_cursor.then(|| ScheduleCursor::new(schedule, cdn.failures().clone()));
-    let mut watermark = FaultEventWatermark::default();
-    let mut current_epoch = u64::MAX;
-    let mut start_index = 0usize;
-    let mut last_written: Option<u64> = None;
-
     if let Some(rs) = resume {
-        if let Some((applied, view)) = rs.cursor {
-            cursor = Some(ScheduleCursor::resume(schedule, applied as usize, view));
+        if let (Some(cur), Some((applied, view))) = (drive.cursor.as_mut(), rs.cursor) {
+            *cur = ScheduleCursor::resume(schedule, applied as usize, view);
         }
-        if let (Some(led), Some(usage)) = (ledger.as_mut(), rs.ledger.as_ref()) {
-            led.import_state(usage);
+        if let (Some((led, _)), Some(usage)) = (drive.ledger.as_mut(), rs.ledger) {
+            led.import_state(&usage);
         }
-        watermark = FaultEventWatermark {
-            remapped: rs.watermark[0],
-            extra_hops: rs.watermark[1],
-            cold_misses: rs.watermark[2],
-        };
-        current_epoch = rs.prev_epoch;
-        start_index = rs.entry_index;
-        last_written = Some(rs.boundary_epoch);
-        if let (Some(m), Some(t)) = (&mrec, rs.telemetry.as_ref()) {
+        if let (Some(m), Some(t)) = (&mrec, &rs.telemetry) {
             m.absorb(t);
         }
+        let [remapped, extra_hops, cold_misses] = rs.watermark;
+        drive.resume = Some(ResumePoint {
+            entry_index: rs.meta.entry_index as usize,
+            prev_epoch: rs.meta.prev_epoch,
+            watermark: FaultEventWatermark { remapped, extra_hops, cold_misses },
+        });
+        writer.last_written = Some(rs.meta.boundary_epoch);
     }
-
-    let mut epoch_span: Option<SpanTimer> = None;
-    for i in start_index..log.entries.len() {
-        let e = &log.entries[i];
-        let epoch = e.time.as_secs() / epoch_secs;
-        if epoch != current_epoch {
-            if current_epoch != u64::MAX
-                && epoch / every_n != current_epoch / every_n
-                && last_written != Some(epoch)
-            {
-                // Close the open span first so its stats make the
-                // snapshot; the checkpoint then captures the state
-                // *before* any of this boundary's actions.
-                epoch_span = None;
-                let meta = EngineMeta {
-                    fingerprint,
-                    boundary_epoch: epoch,
-                    prev_epoch: current_epoch,
-                    entry_index: i as u64,
-                    use_cursor,
-                    use_overload,
-                };
-                let state = cdn.export_state();
-                let body = EngineBody {
-                    failures: state.failures,
-                    caches: state.caches,
-                    inflight: state.inflight,
-                    cold: state.cold,
-                    metrics: state.metrics,
-                    cursor: cursor.as_ref().map(|c| (c.position() as u64, c.view().clone())),
-                    ledger: ledger.as_ref().map(|l| l.export_state()),
-                    watermark: [watermark.remapped, watermark.extra_hops, watermark.cold_misses],
-                };
-                let tele = mrec.as_ref().map(|m| m.snapshot());
-                let bytes = encode_container(
-                    KIND_ENGINE,
-                    &encode_engine_meta(&meta),
-                    &encode_engine_body(&body),
-                    &encode_telemetry_section(tele.as_ref()),
-                );
-                write_atomic(io, &policy.dir, epoch, &bytes, policy.keep_last)?;
-                last_written = Some(epoch);
-            }
-            if faulty && enabled && current_epoch != u64::MAX {
-                watermark.flush(eff, current_epoch, &cdn.metrics);
-            }
-            current_epoch = epoch;
-            cdn.set_now_epoch(epoch);
-            if enabled {
-                epoch_span = Some(SpanTimer::start(eff, Stage::CacheAccess, epoch));
-            }
-            if let Some(cur) = cursor.as_mut() {
-                let delta = cur.advance_to(epoch * epoch_secs);
-                if !delta.is_empty() {
-                    if enabled {
-                        eff.event(Event::SatDown, epoch, delta.went_down.len() as u64);
-                        eff.event(Event::SatUp, epoch, delta.came_up.len() as u64);
-                        eff.event(Event::LinkDown, epoch, delta.links_cut.len() as u64);
-                        eff.event(Event::LinkUp, epoch, delta.links_restored.len() as u64);
-                        let applied = delta.went_down.len()
-                            + delta.came_up.len()
-                            + delta.links_cut.len()
-                            + delta.links_restored.len();
-                        eff.add(Counter::FaultEventsApplied, applied as u64);
-                        eff.add(Counter::CacheWipes, delta.went_down.len() as u64);
-                        eff.add(Counter::ColdMarks, delta.came_up.len() as u64);
-                    }
-                    // Down first: a satellite that restarted within one
-                    // step is wiped, then marked cold.
-                    for &id in &delta.went_down {
-                        cdn.wipe_cache(id);
-                    }
-                    for &id in &delta.came_up {
-                        cdn.mark_cold(id);
-                    }
-                    cdn.set_failures(cur.view().clone());
-                }
-                cdn.record_availability(epoch);
-            }
-            if let Some(led) = ledger.as_mut() {
-                for p in led.advance_to(epoch) {
-                    cdn.metrics.utilization.push(p);
-                }
-            }
-            if prefetching {
-                cdn.prefetch_round();
-                if enabled {
-                    eff.add(Counter::PrefetchRounds, 1);
-                }
-            }
-        }
-        if use_overload {
-            let Some(fc) = e.first_contact else {
-                cdn.handle_unreachable(e.size);
-                if enabled {
-                    eff.add(Counter::RequestsUnreachable, 1);
-                }
-                continue;
-            };
-            let led = ledger.as_mut().expect("overload mode always builds a ledger");
-            let lifecycle = crate::overload::decide(
-                &cdn.config().grid,
-                cdn.tiling(),
-                cdn.failures(),
-                cdn.config().remap_on_failure,
-                span_planes,
-                led,
-                epoch,
-                epoch_ms,
-                fc,
-                e.object,
-                e.size,
-                cdn.latency_model(),
-                overload,
-                eff,
-            );
-            cdn.metrics.shed_requests += lifecycle.sheds as u64;
-            cdn.metrics.retry_attempts += lifecycle.retries as u64;
-            if lifecycle.partitioned > 0 {
-                cdn.metrics.partitioned_requests += 1;
-            }
-            if enabled {
-                eff.add(Counter::RequestsShed, lifecycle.sheds as u64);
-                eff.add(Counter::RetryAttempts, lifecycle.retries as u64);
-                eff.observe(Histo::RetryCount, lifecycle.retries as u64);
-                if lifecycle.partitioned > 0 {
-                    eff.add(Counter::RequestsPartitioned, 1);
-                }
-            }
-            match lifecycle.decision {
-                crate::overload::Decision::Serve { route, replica, penalty_ms } => {
-                    let out =
-                        cdn.serve_routed(route, e.object, e.size, e.gsl_oneway_ms, penalty_ms);
-                    if replica {
-                        cdn.metrics.served_replica += 1;
-                    } else {
-                        cdn.metrics.served_primary += 1;
-                    }
-                    if enabled {
-                        record_outcome(eff, &out, e.size);
-                    }
-                }
-                crate::overload::Decision::OriginFallback { penalty_ms } => {
-                    cdn.serve_origin_fallback(fc, e.size, e.gsl_oneway_ms, penalty_ms);
-                    if enabled {
-                        eff.add(Counter::OriginFallbacks, 1);
-                    }
-                }
-                crate::overload::Decision::Drop => {
-                    cdn.metrics.dropped_requests += 1;
-                    if enabled {
-                        eff.add(Counter::RequestsDropped, 1);
-                    }
-                }
-            }
-        } else {
-            match e.first_contact {
-                Some(sat) => {
-                    let partitioned_before =
-                        if enabled { cdn.metrics.partitioned_requests } else { 0 };
-                    let out = cdn.handle_request(sat, e.object, e.size, e.gsl_oneway_ms);
-                    if enabled {
-                        record_outcome(eff, &out, e.size);
-                        if cdn.metrics.partitioned_requests > partitioned_before {
-                            eff.add(Counter::RequestsPartitioned, 1);
-                        }
-                    }
-                }
-                None => {
-                    cdn.handle_unreachable(e.size);
-                    if enabled {
-                        eff.add(Counter::RequestsUnreachable, 1);
-                    }
-                }
-            }
-        }
-    }
-    drop(epoch_span);
-    if faulty && enabled && current_epoch != u64::MAX {
-        watermark.flush(eff, current_epoch, &cdn.metrics);
-    }
-    if let Some(mut led) = ledger {
-        for p in led.finish() {
-            cdn.metrics.utilization.push(p);
-        }
-    }
+    drive.writer = Some(writer);
+    let start = drive.resume.map_or(0, |r| r.entry_index);
+    let eff: &dyn Recorder = match &mrec {
+        Some(m) => m,
+        None => &Noop,
+    };
+    let metrics = drive.run(cdn, log.entries[start..].iter().copied(), epoch_secs, eff)?;
     if let Some(m) = &mrec {
         rec.absorb(&m.snapshot());
     }
-    Ok(cdn.metrics.clone())
+    Ok(metrics)
 }
 
 #[cfg(test)]

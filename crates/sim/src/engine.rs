@@ -1,16 +1,26 @@
 //! The deterministic simulation engine.
 //!
-//! Drives an [`AccessLog`] through a system: the StarCDN fleet (any
+//! Drives an access log through a system: the StarCDN fleet (any
 //! variant), the Static Cache ideal, the no-cache bent pipe, or the
 //! terrestrial-CDN latency reference. Single-threaded and bit-for-bit
-//! reproducible; the throughput-oriented parallel path lives in
+//! reproducible; the throughput-oriented sharded path lives in
 //! [`crate::replayer`].
+//!
+//! Every fleet replay — plain, fault-scheduled, overload-aware,
+//! warm-up-measured, or checkpointed ([`crate::checkpoint`]) — runs
+//! through one private driver, `Drive::run`, generic over the entry
+//! stream (row [`AccessLog`] or [`AccessLogColumns`]) and holding each
+//! mode as an optional part. The public `run_space*` runners only pick
+//! the parts, always through the one rule of `active_modes`.
 
-use crate::access_log::AccessLog;
+use crate::access_log::{record_fault_delta, AccessLog, AccessLogEntry};
+use crate::checkpoint::{CheckpointError, EngineWriter};
 use crate::columns::AccessLogColumns;
+use crate::overload::{Decision, OverloadConfig};
 use starcdn::baselines::{NoCacheBaseline, StaticCacheBaseline, TerrestrialCdnBaseline};
 use starcdn::metrics::SystemMetrics;
 use starcdn::system::{ServeOutcome, SpaceCdn};
+use starcdn_constellation::capacity::CapacityLedger;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_telemetry::{Counter, Event, Histo, Noop, Recorder, SpanTimer, Stage};
 
@@ -62,27 +72,42 @@ pub fn run_space(cdn: &mut SpaceCdn, log: &AccessLog) -> SystemMetrics {
     run_space_entries(cdn, &log.entries, log.epoch_secs)
 }
 
-/// [`run_space`] with telemetry (see [`run_space_entries_recorded`]).
-pub fn run_space_recorded(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    run_space_entries_recorded(cdn, &log.entries, log.epoch_secs, rec)
-}
-
 /// [`run_space`] over a borrowed slice of entries — lets callers replay
 /// part of a log (e.g. the post-warmup tail) without copying it into a
 /// fresh [`AccessLog`].
 pub fn run_space_entries(
     cdn: &mut SpaceCdn,
-    entries: &[crate::access_log::AccessLogEntry],
+    entries: &[AccessLogEntry],
     epoch_secs: u64,
 ) -> SystemMetrics {
-    run_space_entries_recorded(cdn, entries, epoch_secs, &Noop)
+    replay(
+        cdn,
+        entries.iter().copied(),
+        epoch_secs,
+        &FaultSchedule::empty(),
+        &OverloadConfig::disabled(),
+        None,
+        &Noop,
+    )
 }
 
-/// Record one served request into `rec`. Shared by the engine loops and
+/// [`run_space`] over a columnar log: entries are materialized lane by
+/// lane from the column buffers as the loop consumes them, never
+/// collected into a row vector. Bit-for-bit [`run_space`] on the
+/// equivalent row log.
+pub fn run_space_columns(cdn: &mut SpaceCdn, cols: &AccessLogColumns) -> SystemMetrics {
+    replay(
+        cdn,
+        cols.iter(),
+        cols.epoch_secs(),
+        &FaultSchedule::empty(),
+        &OverloadConfig::disabled(),
+        None,
+        &Noop,
+    )
+}
+
+/// Record one served request into `rec`. Shared by the engine driver and
 /// the replayer workers so hit/miss classification stays consistent.
 pub(crate) fn record_outcome(rec: &dyn Recorder, out: &ServeOutcome, size: u64) {
     use starcdn::system::ServedFrom;
@@ -108,90 +133,6 @@ pub(crate) fn record_outcome(rec: &dyn Recorder, out: &ServeOutcome, size: u64) 
     }
 }
 
-/// [`run_space_entries`] with telemetry: per-request latency/hop/size
-/// histograms and hit-miss counters, plus a [`Stage::CacheAccess`] span
-/// per scheduler epoch. All instrumentation is gated on one hoisted
-/// [`Recorder::is_enabled`] check, and none of it feeds back into the
-/// simulation — the metrics are identical with any recorder installed.
-pub fn run_space_entries_recorded(
-    cdn: &mut SpaceCdn,
-    entries: &[crate::access_log::AccessLogEntry],
-    epoch_secs: u64,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    run_space_iter_recorded(cdn, entries.iter().copied(), epoch_secs, rec)
-}
-
-/// [`run_space`] over a columnar log: entries are materialized lane by
-/// lane from the column buffers as the loop consumes them, never
-/// collected into a row vector. Bit-for-bit [`run_space`] on the
-/// equivalent row log.
-pub fn run_space_columns(cdn: &mut SpaceCdn, cols: &AccessLogColumns) -> SystemMetrics {
-    run_space_columns_recorded(cdn, cols, &Noop)
-}
-
-/// [`run_space_columns`] with telemetry (see
-/// [`run_space_entries_recorded`]).
-pub fn run_space_columns_recorded(
-    cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    run_space_iter_recorded(cdn, cols.iter(), cols.epoch_secs(), rec)
-}
-
-/// The shared engine loop behind the row and columnar entry points —
-/// generic over any entry stream so neither representation pays a
-/// conversion copy.
-fn run_space_iter_recorded(
-    cdn: &mut SpaceCdn,
-    entries: impl Iterator<Item = crate::access_log::AccessLogEntry>,
-    epoch_secs: u64,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    let prefetching = cdn.config().prefetch_top_k.is_some();
-    let delayed = cdn.config().delayed.is_enabled();
-    let enabled = rec.is_enabled();
-    let epoch_secs = epoch_secs.max(1);
-    let mut current_epoch = u64::MAX;
-    let mut epoch_span: Option<SpanTimer> = None;
-    for e in entries {
-        if prefetching || enabled || delayed {
-            let epoch = e.time.as_secs() / epoch_secs;
-            if epoch != current_epoch {
-                current_epoch = epoch;
-                cdn.set_now_epoch(epoch);
-                if enabled {
-                    // Replacing the guard closes the previous epoch's span.
-                    epoch_span = Some(SpanTimer::start(rec, Stage::CacheAccess, epoch));
-                }
-                if prefetching {
-                    cdn.prefetch_round();
-                    if enabled {
-                        rec.add(Counter::PrefetchRounds, 1);
-                    }
-                }
-            }
-        }
-        match e.first_contact {
-            Some(sat) => {
-                let out = cdn.handle_request(sat, e.object, e.size, e.gsl_oneway_ms);
-                if enabled {
-                    record_outcome(rec, &out, e.size);
-                }
-            }
-            None => {
-                cdn.handle_unreachable(e.size);
-                if enabled {
-                    rec.add(Counter::RequestsUnreachable, 1);
-                }
-            }
-        }
-    }
-    drop(epoch_span);
-    cdn.metrics.clone()
-}
-
 /// Replay the log under a time-varying fault schedule. At every scheduler
 /// epoch boundary encountered in the log the live failure view advances:
 /// satellites that went down lose their cache contents, recovered ones
@@ -207,21 +148,27 @@ pub fn run_space_with_faults(
     run_space_with_faults_recorded(cdn, log, schedule, &Noop)
 }
 
-/// [`run_space_with_faults`] with telemetry. On top of the per-request
-/// instrumentation of [`run_space_entries_recorded`], the fault path
-/// emits epoch-stamped [`Event`]s: churn applied at each boundary
-/// (`SatDown`/`SatUp`/`LinkDown`/`LinkUp`) and the per-epoch growth of
-/// the degraded-mode counters (`Remap`/`Reroute`/`ColdMiss`).
+/// [`run_space_with_faults`] with telemetry: per-request latency, hop
+/// and size histograms and hit/miss counters, a [`Stage::CacheAccess`]
+/// span per scheduler epoch, and epoch-stamped [`Event`]s for the churn
+/// applied at each boundary (`SatDown`/`SatUp`/`LinkDown`/`LinkUp`) and
+/// the per-epoch growth of the degraded-mode counters
+/// (`Remap`/`Reroute`/`ColdMiss`). Recording never changes the metrics.
 pub fn run_space_with_faults_recorded(
     cdn: &mut SpaceCdn,
     log: &AccessLog,
     schedule: &FaultSchedule,
     rec: &dyn Recorder,
 ) -> SystemMetrics {
-    if schedule.is_empty() {
-        return run_space_recorded(cdn, log, rec);
-    }
-    drive_with_faults(cdn, log.entries.iter().copied(), log.epoch_secs, schedule, None, rec)
+    replay(
+        cdn,
+        log.entries.iter().copied(),
+        log.epoch_secs,
+        schedule,
+        &OverloadConfig::disabled(),
+        None,
+        rec,
+    )
 }
 
 /// [`run_space_with_faults`] over a columnar log — bit-for-bit the row
@@ -231,21 +178,7 @@ pub fn run_space_with_faults_columns(
     cols: &AccessLogColumns,
     schedule: &FaultSchedule,
 ) -> SystemMetrics {
-    run_space_with_faults_columns_recorded(cdn, cols, schedule, &Noop)
-}
-
-/// [`run_space_with_faults_columns`] with telemetry (see
-/// [`run_space_with_faults_recorded`]).
-pub fn run_space_with_faults_columns_recorded(
-    cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if schedule.is_empty() {
-        return run_space_columns_recorded(cdn, cols, rec);
-    }
-    drive_with_faults(cdn, cols.iter(), cols.epoch_secs(), schedule, None, rec)
+    replay(cdn, cols.iter(), cols.epoch_secs(), schedule, &OverloadConfig::disabled(), None, &Noop)
 }
 
 /// [`run_space_with_faults`] with metrics reset at the first entry at or
@@ -258,20 +191,89 @@ pub fn run_space_with_faults_measured(
     schedule: &FaultSchedule,
     measure_from_secs: u64,
 ) -> SystemMetrics {
-    drive_with_faults(
+    let entries = log.entries.iter().copied();
+    replay(
         cdn,
-        log.entries.iter().copied(),
+        entries,
         log.epoch_secs,
         schedule,
+        &OverloadConfig::disabled(),
         Some(measure_from_secs),
         &Noop,
     )
 }
 
+/// Replay the log under a fault schedule *and* capacity enforcement:
+/// the full overload-aware request lifecycle of [`crate::overload`].
+/// With `overload` disabled (infinite headroom) this is exactly
+/// [`run_space_with_faults`] — bit-for-bit, with no ledger built, no
+/// utilization timeline, and every new counter left at zero. The
+/// schedule may be empty (pure overload, no churn).
+pub fn run_space_overloaded(
+    cdn: &mut SpaceCdn,
+    log: &AccessLog,
+    schedule: &FaultSchedule,
+    overload: &OverloadConfig,
+) -> SystemMetrics {
+    run_space_overloaded_recorded(cdn, log, schedule, overload, &Noop)
+}
+
+/// [`run_space_overloaded`] with telemetry: shed/retry/fallback/drop
+/// counters and the per-request retry-count histogram on top of the
+/// fault-path instrumentation.
+pub fn run_space_overloaded_recorded(
+    cdn: &mut SpaceCdn,
+    log: &AccessLog,
+    schedule: &FaultSchedule,
+    overload: &OverloadConfig,
+    rec: &dyn Recorder,
+) -> SystemMetrics {
+    replay(cdn, log.entries.iter().copied(), log.epoch_secs, schedule, overload, None, rec)
+}
+
+/// [`run_space_overloaded`] over a columnar log — bit-for-bit the row
+/// path on the equivalent log, including the disabled-overload fast
+/// path.
+pub fn run_space_overloaded_columns(
+    cdn: &mut SpaceCdn,
+    cols: &AccessLogColumns,
+    schedule: &FaultSchedule,
+    overload: &OverloadConfig,
+) -> SystemMetrics {
+    replay(cdn, cols.iter(), cols.epoch_secs(), schedule, overload, None, &Noop)
+}
+
+/// A non-checkpointed replay: [`Drive::new`]'s mode selection, then the
+/// driver.
+fn replay(
+    cdn: &mut SpaceCdn,
+    entries: impl Iterator<Item = AccessLogEntry>,
+    epoch_secs: u64,
+    schedule: &FaultSchedule,
+    overload: &OverloadConfig,
+    measure_from_secs: Option<u64>,
+    rec: &dyn Recorder,
+) -> SystemMetrics {
+    let drive = Drive { measure_from_secs, ..Drive::new(cdn, epoch_secs, schedule, overload) };
+    drive
+        .run(cdn, entries, epoch_secs, rec)
+        .expect("a drive without a checkpoint writer does no I/O")
+}
+
+/// The one mode-selection rule shared by every engine, sharded and
+/// checkpointed runner: an empty schedule runs without a fault cursor,
+/// a disabled overload config without a capacity ledger.
+pub(crate) fn active_modes<'a>(
+    schedule: &'a FaultSchedule,
+    overload: &'a OverloadConfig,
+) -> (Option<&'a FaultSchedule>, Option<&'a OverloadConfig>) {
+    ((!schedule.is_empty()).then_some(schedule), overload.is_enabled().then_some(overload))
+}
+
 /// Degraded-mode counter levels at the last epoch boundary; the deltas
-/// become epoch-stamped `Remap`/`Reroute`/`ColdMiss` events. Shared with
-/// [`crate::checkpoint`], which persists the levels so a resumed run
-/// emits the same per-epoch deltas as the uninterrupted one.
+/// become epoch-stamped `Remap`/`Reroute`/`ColdMiss` events. Checkpoints
+/// persist the levels so a resumed run emits the same per-epoch deltas
+/// as the uninterrupted one.
 #[derive(Default, Clone, Copy)]
 pub(crate) struct FaultEventWatermark {
     pub(crate) remapped: u64,
@@ -298,340 +300,233 @@ impl FaultEventWatermark {
     }
 }
 
-fn drive_with_faults(
-    cdn: &mut SpaceCdn,
-    entries: impl Iterator<Item = crate::access_log::AccessLogEntry>,
-    epoch_secs: u64,
-    schedule: &FaultSchedule,
-    measure_from_secs: Option<u64>,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    let prefetching = cdn.config().prefetch_top_k.is_some();
-    let enabled = rec.is_enabled();
-    let epoch_secs = epoch_secs.max(1);
-    let mut current_epoch = u64::MAX;
-    let mut cursor = ScheduleCursor::new(schedule, cdn.failures().clone());
-    let mut reset_done = measure_from_secs.is_none();
-    let mut watermark = FaultEventWatermark::default();
-    let mut epoch_span: Option<SpanTimer> = None;
-    for e in entries {
-        let epoch = e.time.as_secs() / epoch_secs;
-        if epoch != current_epoch {
-            if enabled && current_epoch != u64::MAX {
-                watermark.flush(rec, current_epoch, &cdn.metrics);
-            }
-            current_epoch = epoch;
-            cdn.set_now_epoch(epoch);
-            if enabled {
-                epoch_span = Some(SpanTimer::start(rec, Stage::CacheAccess, epoch));
-            }
-            let delta = cursor.advance_to(epoch * epoch_secs);
-            if !delta.is_empty() {
-                if enabled {
-                    rec.event(Event::SatDown, epoch, delta.went_down.len() as u64);
-                    rec.event(Event::SatUp, epoch, delta.came_up.len() as u64);
-                    rec.event(Event::LinkDown, epoch, delta.links_cut.len() as u64);
-                    rec.event(Event::LinkUp, epoch, delta.links_restored.len() as u64);
-                    let applied = delta.went_down.len()
-                        + delta.came_up.len()
-                        + delta.links_cut.len()
-                        + delta.links_restored.len();
-                    rec.add(Counter::FaultEventsApplied, applied as u64);
-                    rec.add(Counter::CacheWipes, delta.went_down.len() as u64);
-                    rec.add(Counter::ColdMarks, delta.came_up.len() as u64);
-                }
-                // Down first: a satellite that restarted within one step
-                // is wiped, then marked cold.
-                for &id in &delta.went_down {
-                    cdn.wipe_cache(id);
-                }
-                for &id in &delta.came_up {
-                    cdn.mark_cold(id);
-                }
-                cdn.set_failures(cursor.view().clone());
-            }
-            cdn.record_availability(epoch);
-            if prefetching {
-                cdn.prefetch_round();
-                if enabled {
-                    rec.add(Counter::PrefetchRounds, 1);
-                }
-            }
+/// Where a resumed drive re-enters the log (restored from a checkpoint).
+#[derive(Clone, Copy)]
+pub(crate) struct ResumePoint {
+    /// Index of the first unprocessed entry; the caller passes the log
+    /// from here on.
+    pub(crate) entry_index: usize,
+    /// The epoch before the checkpointed boundary, so that boundary
+    /// re-executes exactly as in the uninterrupted run.
+    pub(crate) prev_epoch: u64,
+    pub(crate) watermark: FaultEventWatermark,
+}
+
+/// One engine replay: each mode is an optional part, and all `None` is
+/// the plain replay.
+#[derive(Default)]
+pub(crate) struct Drive<'a> {
+    /// Fault-schedule cursor, advanced at each epoch boundary (churn).
+    pub(crate) cursor: Option<ScheduleCursor<'a>>,
+    /// Capacity ledger and the lifecycle it enforces (overload).
+    pub(crate) ledger: Option<(CapacityLedger, &'a OverloadConfig)>,
+    /// Reset the metrics at the first entry at or after this time.
+    pub(crate) measure_from_secs: Option<u64>,
+    /// Writes a checkpoint at every `every_n_epochs` boundary.
+    pub(crate) writer: Option<EngineWriter<'a>>,
+    /// Start mid-log, as restored from a checkpoint.
+    pub(crate) resume: Option<ResumePoint>,
+}
+
+impl<'a> Drive<'a> {
+    /// The cursor and ledger [`active_modes`] selects for `cdn`.
+    pub(crate) fn new(
+        cdn: &SpaceCdn,
+        epoch_secs: u64,
+        schedule: &'a FaultSchedule,
+        overload: &'a OverloadConfig,
+    ) -> Self {
+        let (schedule, overload) = active_modes(schedule, overload);
+        let cfg = cdn.config();
+        Drive {
+            cursor: schedule.map(|s| ScheduleCursor::new(s, cdn.failures().clone())),
+            ledger: overload.map(|o| {
+                let ledger =
+                    CapacityLedger::new(&cfg.grid, &cfg.link_model, epoch_secs.max(1), o.headroom);
+                (ledger, o)
+            }),
+            ..Drive::default()
         }
-        if !reset_done && e.time.as_secs() >= measure_from_secs.unwrap_or(0) {
-            cdn.reset_metrics();
-            watermark = FaultEventWatermark::default();
-            reset_done = true;
-        }
-        match e.first_contact {
-            Some(sat) => {
-                let partitioned_before = if enabled { cdn.metrics.partitioned_requests } else { 0 };
-                let out = cdn.handle_request(sat, e.object, e.size, e.gsl_oneway_ms);
+    }
+
+    /// Replay `entries` through `cdn`. At each scheduler-epoch boundary,
+    /// in order: checkpoint, fault-event flush, churn and availability
+    /// sample, ledger advance, prefetch round. The per-request epoch
+    /// division runs only when one of those (or the delayed-hit clock,
+    /// or a live recorder) needs it.
+    pub(crate) fn run(
+        self,
+        cdn: &mut SpaceCdn,
+        entries: impl Iterator<Item = AccessLogEntry>,
+        epoch_secs: u64,
+        rec: &dyn Recorder,
+    ) -> Result<SystemMetrics, CheckpointError> {
+        let Drive { mut cursor, mut ledger, measure_from_secs, mut writer, resume } = self;
+        let prefetching = cdn.config().prefetch_top_k.is_some();
+        let enabled = rec.is_enabled();
+        let faulty = cursor.is_some() || ledger.is_some();
+        let boundaries = faulty
+            || writer.is_some()
+            || prefetching
+            || enabled
+            || cdn.config().delayed.is_enabled();
+        let epoch_secs = epoch_secs.max(1);
+        let epoch_ms = epoch_secs as f64 * 1000.0;
+        let span_planes = cdn.config().relay_span_planes();
+        let (first_index, mut current_epoch, mut watermark) = match resume {
+            Some(r) => (r.entry_index, r.prev_epoch, r.watermark),
+            None => (0, u64::MAX, FaultEventWatermark::default()),
+        };
+        let mut measure_from = measure_from_secs;
+        let mut epoch_span: Option<SpanTimer> = None;
+        for (i, e) in (first_index..).zip(entries) {
+            let epoch = if boundaries { e.time.as_secs() / epoch_secs } else { current_epoch };
+            if epoch != current_epoch {
+                // Close the open span first so its stats make a
+                // checkpoint snapshot, which captures the state *before*
+                // any of this boundary's actions.
+                epoch_span = None;
+                if current_epoch != u64::MAX {
+                    if let Some(w) = writer.as_mut() {
+                        let led = ledger.as_ref().map(|(l, _)| l);
+                        w.at_boundary(
+                            cdn,
+                            i,
+                            current_epoch,
+                            epoch,
+                            cursor.as_ref(),
+                            led,
+                            watermark,
+                        )?;
+                    }
+                    if faulty && enabled {
+                        watermark.flush(rec, current_epoch, &cdn.metrics);
+                    }
+                }
+                current_epoch = epoch;
+                cdn.set_now_epoch(epoch);
                 if enabled {
-                    record_outcome(rec, &out, e.size);
-                    if cdn.metrics.partitioned_requests > partitioned_before {
-                        rec.add(Counter::RequestsPartitioned, 1);
+                    epoch_span = Some(SpanTimer::start(rec, Stage::CacheAccess, epoch));
+                }
+                if let Some(cur) = cursor.as_mut() {
+                    let delta = cur.advance_to(epoch * epoch_secs);
+                    if !delta.is_empty() {
+                        if enabled {
+                            record_fault_delta(rec, epoch, &delta);
+                            rec.add(Counter::CacheWipes, delta.went_down.len() as u64);
+                            rec.add(Counter::ColdMarks, delta.came_up.len() as u64);
+                        }
+                        // Down first: a satellite that restarted within
+                        // one step is wiped, then marked cold.
+                        for &id in &delta.went_down {
+                            cdn.wipe_cache(id);
+                        }
+                        for &id in &delta.came_up {
+                            cdn.mark_cold(id);
+                        }
+                        cdn.set_failures(cur.view().clone());
+                    }
+                    cdn.record_availability(epoch);
+                }
+                if let Some((led, _)) = ledger.as_mut() {
+                    cdn.metrics.utilization.extend(led.advance_to(epoch));
+                }
+                if prefetching {
+                    cdn.prefetch_round();
+                    if enabled {
+                        rec.add(Counter::PrefetchRounds, 1);
                     }
                 }
             }
-            None => {
+            if measure_from.is_some_and(|from| e.time.as_secs() >= from) {
+                cdn.reset_metrics();
+                watermark = FaultEventWatermark::default();
+                measure_from = None;
+            }
+            let Some(fc) = e.first_contact else {
+                // No satellite in view: served bent-pipe, outside the
+                // overload lifecycle (no GSL of ours carries it).
                 cdn.handle_unreachable(e.size);
                 if enabled {
                     rec.add(Counter::RequestsUnreachable, 1);
                 }
-            }
-        }
-    }
-    drop(epoch_span);
-    if enabled && current_epoch != u64::MAX {
-        watermark.flush(rec, current_epoch, &cdn.metrics);
-    }
-    cdn.metrics.clone()
-}
-
-/// Replay the log under a fault schedule *and* capacity enforcement:
-/// the full overload-aware request lifecycle of [`crate::overload`].
-/// With `overload` disabled (infinite headroom) this is exactly
-/// [`run_space_with_faults`] — bit-for-bit, with no ledger built, no
-/// utilization timeline, and every new counter left at zero. The
-/// schedule may be empty (pure overload, no churn).
-pub fn run_space_overloaded(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-) -> SystemMetrics {
-    run_space_overloaded_recorded(cdn, log, schedule, overload, &Noop)
-}
-
-/// [`run_space_overloaded`] with telemetry: shed/retry/fallback/drop
-/// counters and the per-request retry-count histogram on top of the
-/// fault-path instrumentation.
-pub fn run_space_overloaded_recorded(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if !overload.is_enabled() {
-        return run_space_with_faults_recorded(cdn, log, schedule, rec);
-    }
-    drive_overloaded(cdn, log.entries.iter().copied(), log.epoch_secs, schedule, overload, rec)
-}
-
-/// [`run_space_overloaded`] over a columnar log — bit-for-bit the row
-/// path on the equivalent log, including the disabled-overload fast
-/// path.
-pub fn run_space_overloaded_columns(
-    cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-) -> SystemMetrics {
-    run_space_overloaded_columns_recorded(cdn, cols, schedule, overload, &Noop)
-}
-
-/// [`run_space_overloaded_columns`] with telemetry (see
-/// [`run_space_overloaded_recorded`]).
-pub fn run_space_overloaded_columns_recorded(
-    cdn: &mut SpaceCdn,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    if !overload.is_enabled() {
-        return run_space_with_faults_columns_recorded(cdn, cols, schedule, rec);
-    }
-    drive_overloaded(cdn, cols.iter(), cols.epoch_secs(), schedule, overload, rec)
-}
-
-/// The overload twin of [`drive_with_faults`]: same epoch-boundary churn
-/// handling, plus a [`CapacityLedger`](starcdn_constellation::capacity::CapacityLedger)
-/// advanced at each boundary and consulted — through the retry state
-/// machine — before any cache access. Kept separate so the existing
-/// fault path stays untouched on its hot loop.
-fn drive_overloaded(
-    cdn: &mut SpaceCdn,
-    entries: impl Iterator<Item = crate::access_log::AccessLogEntry>,
-    epoch_secs: u64,
-    schedule: &FaultSchedule,
-    overload: &crate::overload::OverloadConfig,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    use starcdn_constellation::capacity::CapacityLedger;
-
-    let prefetching = cdn.config().prefetch_top_k.is_some();
-    let enabled = rec.is_enabled();
-    let epoch_secs = epoch_secs.max(1);
-    let epoch_ms = epoch_secs as f64 * 1000.0;
-    let span = cdn.config().relay_span_planes();
-    let mut ledger = CapacityLedger::new(
-        &cdn.config().grid,
-        &cdn.config().link_model,
-        epoch_secs,
-        overload.headroom,
-    );
-    let mut current_epoch = u64::MAX;
-    let mut cursor =
-        (!schedule.is_empty()).then(|| ScheduleCursor::new(schedule, cdn.failures().clone()));
-    let mut watermark = FaultEventWatermark::default();
-    let mut epoch_span: Option<SpanTimer> = None;
-    for e in entries {
-        let epoch = e.time.as_secs() / epoch_secs;
-        if epoch != current_epoch {
-            if enabled && current_epoch != u64::MAX {
-                watermark.flush(rec, current_epoch, &cdn.metrics);
-            }
-            current_epoch = epoch;
-            cdn.set_now_epoch(epoch);
+                continue;
+            };
+            let out = match ledger.as_mut() {
+                None => {
+                    let partitioned_before = cdn.metrics.partitioned_requests;
+                    let out = cdn.handle_request(fc, e.object, e.size, e.gsl_oneway_ms);
+                    if enabled && cdn.metrics.partitioned_requests > partitioned_before {
+                        rec.add(Counter::RequestsPartitioned, 1);
+                    }
+                    Some(out)
+                }
+                Some((led, overload)) => {
+                    let lifecycle = crate::overload::decide(
+                        &cdn.config().grid,
+                        cdn.tiling(),
+                        cdn.failures(),
+                        cdn.config().remap_on_failure,
+                        span_planes,
+                        led,
+                        epoch,
+                        epoch_ms,
+                        fc,
+                        e.object,
+                        e.size,
+                        cdn.latency_model(),
+                        overload,
+                        rec,
+                    );
+                    lifecycle.account(&mut cdn.metrics, rec);
+                    match lifecycle.decision {
+                        Decision::Serve { route, replica, penalty_ms } => {
+                            let out = cdn.serve_routed(
+                                route,
+                                e.object,
+                                e.size,
+                                e.gsl_oneway_ms,
+                                penalty_ms,
+                            );
+                            if replica {
+                                cdn.metrics.served_replica += 1;
+                            } else {
+                                cdn.metrics.served_primary += 1;
+                            }
+                            Some(out)
+                        }
+                        Decision::OriginFallback { penalty_ms } => {
+                            cdn.serve_origin_fallback(fc, e.size, e.gsl_oneway_ms, penalty_ms);
+                            if enabled {
+                                rec.add(Counter::OriginFallbacks, 1);
+                            }
+                            None
+                        }
+                        Decision::Drop => {
+                            cdn.metrics.dropped_requests += 1;
+                            if enabled {
+                                rec.add(Counter::RequestsDropped, 1);
+                            }
+                            None
+                        }
+                    }
+                }
+            };
             if enabled {
-                epoch_span = Some(SpanTimer::start(rec, Stage::CacheAccess, epoch));
-            }
-            if let Some(cur) = cursor.as_mut() {
-                let delta = cur.advance_to(epoch * epoch_secs);
-                if !delta.is_empty() {
-                    if enabled {
-                        rec.event(Event::SatDown, epoch, delta.went_down.len() as u64);
-                        rec.event(Event::SatUp, epoch, delta.came_up.len() as u64);
-                        rec.event(Event::LinkDown, epoch, delta.links_cut.len() as u64);
-                        rec.event(Event::LinkUp, epoch, delta.links_restored.len() as u64);
-                        let applied = delta.went_down.len()
-                            + delta.came_up.len()
-                            + delta.links_cut.len()
-                            + delta.links_restored.len();
-                        rec.add(Counter::FaultEventsApplied, applied as u64);
-                        rec.add(Counter::CacheWipes, delta.went_down.len() as u64);
-                        rec.add(Counter::ColdMarks, delta.came_up.len() as u64);
-                    }
-                    for &id in &delta.went_down {
-                        cdn.wipe_cache(id);
-                    }
-                    for &id in &delta.came_up {
-                        cdn.mark_cold(id);
-                    }
-                    cdn.set_failures(cur.view().clone());
-                }
-                cdn.record_availability(epoch);
-            }
-            for p in ledger.advance_to(epoch) {
-                cdn.metrics.utilization.push(p);
-            }
-            if prefetching {
-                cdn.prefetch_round();
-                if enabled {
-                    rec.add(Counter::PrefetchRounds, 1);
+                if let Some(out) = &out {
+                    record_outcome(rec, out, e.size);
                 }
             }
         }
-        let Some(fc) = e.first_contact else {
-            // No satellite in view: outside the lifecycle, exactly as in
-            // the non-overload path (no GSL of ours carries it).
-            cdn.handle_unreachable(e.size);
-            if enabled {
-                rec.add(Counter::RequestsUnreachable, 1);
-            }
-            continue;
-        };
-        let lifecycle = crate::overload::decide(
-            &cdn.config().grid,
-            cdn.tiling(),
-            cdn.failures(),
-            cdn.config().remap_on_failure,
-            span,
-            &mut ledger,
-            epoch,
-            epoch_ms,
-            fc,
-            e.object,
-            e.size,
-            cdn.latency_model(),
-            overload,
-            rec,
-        );
-        cdn.metrics.shed_requests += lifecycle.sheds as u64;
-        cdn.metrics.retry_attempts += lifecycle.retries as u64;
-        if lifecycle.partitioned > 0 {
-            cdn.metrics.partitioned_requests += 1;
+        drop(epoch_span);
+        if faulty && enabled && current_epoch != u64::MAX {
+            watermark.flush(rec, current_epoch, &cdn.metrics);
         }
-        if enabled {
-            rec.add(Counter::RequestsShed, lifecycle.sheds as u64);
-            rec.add(Counter::RetryAttempts, lifecycle.retries as u64);
-            rec.observe(Histo::RetryCount, lifecycle.retries as u64);
-            if lifecycle.partitioned > 0 {
-                rec.add(Counter::RequestsPartitioned, 1);
-            }
+        if let Some((mut led, _)) = ledger {
+            cdn.metrics.utilization.extend(led.finish());
         }
-        match lifecycle.decision {
-            crate::overload::Decision::Serve { route, replica, penalty_ms } => {
-                let out = cdn.serve_routed(route, e.object, e.size, e.gsl_oneway_ms, penalty_ms);
-                if replica {
-                    cdn.metrics.served_replica += 1;
-                } else {
-                    cdn.metrics.served_primary += 1;
-                }
-                if enabled {
-                    record_outcome(rec, &out, e.size);
-                }
-            }
-            crate::overload::Decision::OriginFallback { penalty_ms } => {
-                cdn.serve_origin_fallback(fc, e.size, e.gsl_oneway_ms, penalty_ms);
-                if enabled {
-                    rec.add(Counter::OriginFallbacks, 1);
-                }
-            }
-            crate::overload::Decision::Drop => {
-                cdn.metrics.dropped_requests += 1;
-                if enabled {
-                    rec.add(Counter::RequestsDropped, 1);
-                }
-            }
-        }
+        Ok(cdn.metrics.clone())
     }
-    drop(epoch_span);
-    if enabled && current_epoch != u64::MAX {
-        watermark.flush(rec, current_epoch, &cdn.metrics);
-    }
-    for p in ledger.finish() {
-        cdn.metrics.utilization.push(p);
-    }
-    cdn.metrics.clone()
-}
-
-/// Replay the log with the first `warmup_fraction` of entries excluded
-/// from the metrics: caches warm up, then counters reset and only the
-/// steady-state remainder is measured.
-pub fn run_space_with_warmup(
-    cdn: &mut SpaceCdn,
-    log: &AccessLog,
-    warmup_fraction: f64,
-) -> SystemMetrics {
-    assert!((0.0..1.0).contains(&warmup_fraction), "warmup fraction in [0,1)");
-    let cut = (log.entries.len() as f64 * warmup_fraction) as usize;
-    let (warm, measured) = log.entries.split_at(cut);
-    let delayed = cdn.config().delayed.is_enabled();
-    let epoch_secs = log.epoch_secs.max(1);
-    let mut current_epoch = u64::MAX;
-    for e in warm {
-        if delayed {
-            let epoch = e.time.as_secs() / epoch_secs;
-            if epoch != current_epoch {
-                current_epoch = epoch;
-                cdn.set_now_epoch(epoch);
-            }
-        }
-        match e.first_contact {
-            Some(sat) => {
-                cdn.handle_request(sat, e.object, e.size, e.gsl_oneway_ms);
-            }
-            None => {
-                cdn.handle_unreachable(e.size);
-            }
-        }
-    }
-    cdn.reset_metrics();
-    run_space_entries(cdn, measured, log.epoch_secs)
 }
 
 /// Replay the log through the Static Cache ideal: each location's
@@ -746,22 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn warmup_discounts_cold_start() {
-        let log = log();
-        let mut cold = SpaceCdn::new(StarCdnConfig::starcdn(4, 10_000_000));
-        let m_cold = run_space(&mut cold, &log);
-        let mut warm = SpaceCdn::new(StarCdnConfig::starcdn(4, 10_000_000));
-        let m_warm = run_space_with_warmup(&mut warm, &log, 0.5);
-        assert_eq!(m_warm.stats.requests, (log.len() - log.len() / 2) as u64);
-        assert!(
-            m_warm.stats.request_hit_rate() >= m_cold.stats.request_hit_rate(),
-            "warm {} !>= cold {}",
-            m_warm.stats.request_hit_rate(),
-            m_cold.stats.request_hit_rate()
-        );
-    }
-
-    #[test]
     fn slice_replay_equals_full_log_replay() {
         let log = log();
         let mut a = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
@@ -770,13 +649,6 @@ mod tests {
         let mb = run_space_entries(&mut b, &log.entries, log.epoch_secs);
         assert_eq!(ma.stats, mb.stats);
         assert_eq!(ma.latencies_ms, mb.latencies_ms);
-    }
-
-    #[test]
-    #[should_panic(expected = "warmup fraction")]
-    fn warmup_fraction_must_be_sub_one() {
-        let mut cdn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1000));
-        run_space_with_warmup(&mut cdn, &AccessLog::default(), 1.0);
     }
 
     #[test]
@@ -798,13 +670,19 @@ mod tests {
         let mp = run_space(&mut plain, &log);
         let mut churn = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
         let mc = run_space_with_faults(&mut churn, &log, &FaultSchedule::empty());
-        assert_eq!(mp.stats, mc.stats);
-        assert_eq!(mp.latencies_ms, mc.latencies_ms);
-        assert_eq!(mp.uplink_bytes, mc.uplink_bytes);
-        assert_eq!(mp.per_satellite, mc.per_satellite);
-        assert!(mc.availability.is_empty(), "no schedule, no timeline");
-        assert_eq!(mc.cold_restart_misses, 0);
-        assert_eq!(mc.remapped_requests, 0);
+        // A measured run from time 0 resets nothing and selects its
+        // modes by the same rule.
+        let mut measured = SpaceCdn::new(StarCdnConfig::starcdn(4, 1_000_000));
+        let mm = run_space_with_faults_measured(&mut measured, &log, &FaultSchedule::empty(), 0);
+        for mc in [mc, mm] {
+            assert_eq!(mp.stats, mc.stats);
+            assert_eq!(mp.latencies_ms, mc.latencies_ms);
+            assert_eq!(mp.uplink_bytes, mc.uplink_bytes);
+            assert_eq!(mp.per_satellite, mc.per_satellite);
+            assert!(mc.availability.is_empty(), "no schedule, no timeline");
+            assert_eq!(mc.cold_restart_misses, 0);
+            assert_eq!(mc.remapped_requests, 0);
+        }
     }
 
     #[test]

@@ -19,11 +19,20 @@
 //! * [`replayer`] — a crossbeam-parallel replayer sharded by bucket
 //!   owner, mirroring the paper's process-per-satellite architecture
 //!   (channel transport instead of TCP — DESIGN.md substitution #3);
+//! * [`checkpoint`] / [`replayer_checkpoint`] — crash-consistent
+//!   checkpoints and resume for the two executors;
 //! * [`experiment`] — one-call runners used by the per-figure
 //!   experiment binaries.
 //!
-//! Every pipeline stage has a `*_recorded` variant taking a
-//! [`starcdn_telemetry::Recorder`]; the plain entry points pass the
+//! Fleet replay has exactly two drivers: the engine's, behind every
+//! `run_space*` runner, and the sharded replayer's, behind every
+//! `replay_parallel*` runner. Each runner only picks the optional parts
+//! (fault schedule, overload ledger, warm-up cutoff, checkpoints), and
+//! every one picks them by the same rule: an empty schedule runs without
+//! a fault cursor, a disabled overload config without a ledger.
+//!
+//! The log builders and the `*_recorded` / checkpointed runners take a
+//! [`starcdn_telemetry::Recorder`]; the other entry points pass the
 //! no-op recorder, and recording never changes simulation output (the
 //! parallel replayer merges per-worker recorders in shard index order,
 //! so even its telemetry is deterministic).
@@ -58,19 +67,17 @@ pub use columns::{
     AccessLogColumns,
 };
 pub use engine::{
-    run_space, run_space_columns, run_space_columns_recorded, run_space_entries,
-    run_space_entries_recorded, run_space_overloaded, run_space_overloaded_columns,
-    run_space_overloaded_columns_recorded, run_space_overloaded_recorded, run_space_recorded,
-    run_space_with_faults, run_space_with_faults_columns, run_space_with_faults_columns_recorded,
-    run_space_with_faults_measured, run_space_with_faults_recorded, SimConfig,
+    run_space, run_space_columns, run_space_entries, run_space_overloaded,
+    run_space_overloaded_columns, run_space_overloaded_recorded, run_space_with_faults,
+    run_space_with_faults_columns, run_space_with_faults_measured, run_space_with_faults_recorded,
+    SimConfig,
 };
 pub use overload::{OverloadConfig, RetryPolicy};
 pub use replayer::{
-    replay_parallel, replay_parallel_columns, replay_parallel_columns_recorded,
-    replay_parallel_overloaded, replay_parallel_overloaded_columns,
-    replay_parallel_overloaded_columns_recorded, replay_parallel_overloaded_recorded,
-    replay_parallel_recorded, replay_parallel_with_faults, replay_parallel_with_faults_columns,
-    replay_parallel_with_faults_columns_recorded, replay_parallel_with_faults_recorded,
+    replay_parallel, replay_parallel_columns, replay_parallel_overloaded,
+    replay_parallel_overloaded_columns, replay_parallel_overloaded_recorded,
+    replay_parallel_with_faults, replay_parallel_with_faults_columns,
+    replay_parallel_with_faults_recorded,
 };
 pub use replayer_checkpoint::{
     replay_parallel_checkpointed, replay_parallel_checkpointed_io, resume_replay_checkpointed,

@@ -24,6 +24,7 @@
 //! to the engine.
 
 use starcdn::latency::LatencyModel;
+use starcdn::metrics::SystemMetrics;
 use starcdn::system::{
     classify_route_toward_recorded, preferred_owner, ResolvedRoute, RouteOutcome,
 };
@@ -33,6 +34,7 @@ use starcdn_constellation::capacity::{AdmitDecision, CapacityLedger};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
 use starcdn_orbit::walker::SatelliteId;
+use starcdn_telemetry::{Counter, Histo, Recorder};
 
 /// Bounded-retry parameters of the overload lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,6 +114,27 @@ pub(crate) struct LifecycleOutcome {
     pub partitioned: u32,
 }
 
+impl LifecycleOutcome {
+    /// Count the sheds, retries and partition into `m` and, when `rec` is
+    /// live, into telemetry. Shared by the engine driver and the sharded
+    /// pre-pass.
+    pub(crate) fn account(&self, m: &mut SystemMetrics, rec: &dyn Recorder) {
+        m.shed_requests += self.sheds as u64;
+        m.retry_attempts += self.retries as u64;
+        if self.partitioned > 0 {
+            m.partitioned_requests += 1;
+        }
+        if rec.is_enabled() {
+            rec.add(Counter::RequestsShed, self.sheds as u64);
+            rec.add(Counter::RetryAttempts, self.retries as u64);
+            rec.observe(Histo::RetryCount, self.retries as u64);
+            if self.partitioned > 0 {
+                rec.add(Counter::RequestsPartitioned, 1);
+            }
+        }
+    }
+}
+
 /// Run the admission/retry state machine for one request. Deterministic
 /// in (view, ledger state, request); never touches cache state.
 #[allow(clippy::too_many_arguments)]
@@ -129,7 +152,7 @@ pub(crate) fn decide(
     size: u64,
     latency: &LatencyModel,
     cfg: &OverloadConfig,
-    rec: &dyn starcdn_telemetry::Recorder,
+    rec: &dyn Recorder,
 ) -> LifecycleOutcome {
     let preferred = preferred_owner(grid, tiling, first_contact, object);
     let policy = &cfg.retry;

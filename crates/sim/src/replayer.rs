@@ -7,6 +7,12 @@
 //! `parking_lot` mutexes so relay probes can read neighbour caches
 //! across shards (DESIGN.md substitution #3).
 //!
+//! Every sharded run — any mode, row or columnar, checkpointed or not —
+//! goes through one driver, `drive_sharded`: a sequential pre-pass
+//! (`prepare_shards`) resolves, admits and shards every request, then
+//! the workers replay their streams (`run_shard_ops`) in one segment
+//! per checkpoint barrier (one segment without checkpoints).
+//!
 //! Determinism: each satellite's own request stream is processed in
 //! order, so *per-satellite* cache behaviour is exact. Relay probes read
 //! a neighbour's cache at whatever point that shard has reached, so
@@ -26,12 +32,16 @@
 //! failure set, the same approximation as the static path.)
 //!
 //! Proactive-prefetch configurations are *not* simulated here (prefetch
-//! rounds are global barriers, which would defeat the sharding); use the
-//! sequential engine for the prefetch ablation.
+//! rounds are global barriers, which would defeat the sharding); the
+//! driver rejects them — use the sequential engine for the prefetch
+//! ablation.
 
 use crate::access_log::{AccessLog, AccessLogEntry};
+use crate::checkpoint::CheckpointError;
 use crate::columns::AccessLogColumns;
-use crate::engine::record_outcome;
+use crate::engine::{active_modes, record_outcome};
+use crate::overload::{Decision, OverloadConfig};
+use crate::replayer_checkpoint::{ReplayResume, ReplayWriter};
 use crossbeam::thread;
 use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
@@ -85,10 +95,18 @@ pub fn replay_parallel(
     log: &AccessLog,
     num_workers: usize,
 ) -> SystemMetrics {
-    replay_impl(cfg, failures, log.view(), None, num_workers, &Noop, None)
+    replay(
+        cfg,
+        failures,
+        log.view(),
+        &FaultSchedule::empty(),
+        num_workers,
+        &OverloadConfig::disabled(),
+        &Noop,
+    )
 }
 
-/// A borrowed entry stream feeding [`replay_impl`]/[`prepare_shards`]:
+/// A borrowed entry stream feeding [`drive_sharded`]/[`prepare_shards`]:
 /// either representation replays through the identical code path, the
 /// columnar one materializing entries lane-by-lane as the pre-pass
 /// consumes them.
@@ -143,34 +161,15 @@ pub fn replay_parallel_columns(
     cols: &AccessLogColumns,
     num_workers: usize,
 ) -> SystemMetrics {
-    replay_parallel_columns_recorded(cfg, failures, cols, num_workers, &Noop)
-}
-
-/// [`replay_parallel_columns`] with telemetry (see
-/// [`replay_parallel_recorded`]).
-pub fn replay_parallel_columns_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    cols: &AccessLogColumns,
-    num_workers: usize,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    replay_impl(cfg, failures, cols.view(), None, num_workers, rec, None)
-}
-
-/// [`replay_parallel`] with telemetry. Workers record into private
-/// per-shard [`MemoryRecorder`]s that are merged into `rec` in shard
-/// index order after the pool joins, so the returned metrics — and the
-/// recorded snapshot — are identical run-to-run regardless of thread
-/// interleaving.
-pub fn replay_parallel_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    log: &AccessLog,
-    num_workers: usize,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    replay_impl(cfg, failures, log.view(), None, num_workers, rec, None)
+    replay(
+        cfg,
+        failures,
+        cols.view(),
+        &FaultSchedule::empty(),
+        num_workers,
+        &OverloadConfig::disabled(),
+        &Noop,
+    )
 }
 
 /// [`replay_parallel`] under a time-varying fault schedule applied on top
@@ -187,13 +186,15 @@ pub fn replay_parallel_with_faults(
     schedule: &FaultSchedule,
     num_workers: usize,
 ) -> SystemMetrics {
-    replay_parallel_with_faults_recorded(cfg, failures, log, schedule, num_workers, &Noop)
+    replay(cfg, failures, log.view(), schedule, num_workers, &OverloadConfig::disabled(), &Noop)
 }
 
-/// [`replay_parallel_with_faults`] with telemetry; same determinism
-/// guarantee as [`replay_parallel_recorded`]. Fault events are stamped
-/// with their epoch in the pre-pass, which already walks the schedule
-/// sequentially.
+/// [`replay_parallel_with_faults`] with telemetry. Workers record into
+/// private per-shard [`MemoryRecorder`]s that are merged into `rec` in
+/// shard index order after the pool joins, so the returned metrics — and
+/// the recorded snapshot — are identical run-to-run regardless of thread
+/// interleaving. Fault events are stamped with their epoch in the
+/// pre-pass, which already walks the schedule sequentially.
 pub fn replay_parallel_with_faults_recorded(
     cfg: StarCdnConfig,
     failures: FailureModel,
@@ -202,10 +203,7 @@ pub fn replay_parallel_with_faults_recorded(
     num_workers: usize,
     rec: &dyn Recorder,
 ) -> SystemMetrics {
-    if schedule.is_empty() {
-        return replay_impl(cfg, failures, log.view(), None, num_workers, rec, None);
-    }
-    replay_impl(cfg, failures, log.view(), Some(schedule), num_workers, rec, None)
+    replay(cfg, failures, log.view(), schedule, num_workers, &OverloadConfig::disabled(), rec)
 }
 
 /// [`replay_parallel_with_faults`] over a columnar log — bit-for-bit
@@ -217,20 +215,7 @@ pub fn replay_parallel_with_faults_columns(
     schedule: &FaultSchedule,
     num_workers: usize,
 ) -> SystemMetrics {
-    replay_parallel_with_faults_columns_recorded(cfg, failures, cols, schedule, num_workers, &Noop)
-}
-
-/// [`replay_parallel_with_faults_columns`] with telemetry.
-pub fn replay_parallel_with_faults_columns_recorded(
-    cfg: StarCdnConfig,
-    failures: FailureModel,
-    cols: &AccessLogColumns,
-    schedule: &FaultSchedule,
-    num_workers: usize,
-    rec: &dyn Recorder,
-) -> SystemMetrics {
-    let schedule = (!schedule.is_empty()).then_some(schedule);
-    replay_impl(cfg, failures, cols.view(), schedule, num_workers, rec, None)
+    replay(cfg, failures, cols.view(), schedule, num_workers, &OverloadConfig::disabled(), &Noop)
 }
 
 /// [`replay_parallel_with_faults`] with the overload-aware request
@@ -247,9 +232,9 @@ pub fn replay_parallel_overloaded(
     log: &AccessLog,
     schedule: &FaultSchedule,
     num_workers: usize,
-    overload: &crate::overload::OverloadConfig,
+    overload: &OverloadConfig,
 ) -> SystemMetrics {
-    replay_parallel_overloaded_recorded(cfg, failures, log, schedule, num_workers, overload, &Noop)
+    replay(cfg, failures, log.view(), schedule, num_workers, overload, &Noop)
 }
 
 /// [`replay_parallel_overloaded`] with telemetry.
@@ -260,21 +245,10 @@ pub fn replay_parallel_overloaded_recorded(
     log: &AccessLog,
     schedule: &FaultSchedule,
     num_workers: usize,
-    overload: &crate::overload::OverloadConfig,
+    overload: &OverloadConfig,
     rec: &dyn Recorder,
 ) -> SystemMetrics {
-    if !overload.is_enabled() {
-        return replay_parallel_with_faults_recorded(
-            cfg,
-            failures,
-            log,
-            schedule,
-            num_workers,
-            rec,
-        );
-    }
-    let schedule = (!schedule.is_empty()).then_some(schedule);
-    replay_impl(cfg, failures, log.view(), schedule, num_workers, rec, Some(overload))
+    replay(cfg, failures, log.view(), schedule, num_workers, overload, rec)
 }
 
 /// [`replay_parallel_overloaded`] over a columnar log — bit-for-bit the
@@ -285,42 +259,23 @@ pub fn replay_parallel_overloaded_columns(
     cols: &AccessLogColumns,
     schedule: &FaultSchedule,
     num_workers: usize,
-    overload: &crate::overload::OverloadConfig,
+    overload: &OverloadConfig,
 ) -> SystemMetrics {
-    replay_parallel_overloaded_columns_recorded(
-        cfg,
-        failures,
-        cols,
-        schedule,
-        num_workers,
-        overload,
-        &Noop,
-    )
+    replay(cfg, failures, cols.view(), schedule, num_workers, overload, &Noop)
 }
 
-/// [`replay_parallel_overloaded_columns`] with telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_parallel_overloaded_columns_recorded(
+/// A sharded replay without checkpoints.
+fn replay(
     cfg: StarCdnConfig,
     failures: FailureModel,
-    cols: &AccessLogColumns,
+    log: LogView<'_>,
     schedule: &FaultSchedule,
     num_workers: usize,
-    overload: &crate::overload::OverloadConfig,
+    overload: &OverloadConfig,
     rec: &dyn Recorder,
 ) -> SystemMetrics {
-    if !overload.is_enabled() {
-        return replay_parallel_with_faults_columns_recorded(
-            cfg,
-            failures,
-            cols,
-            schedule,
-            num_workers,
-            rec,
-        );
-    }
-    let schedule = (!schedule.is_empty()).then_some(schedule);
-    replay_impl(cfg, failures, cols.view(), schedule, num_workers, rec, Some(overload))
+    drive_sharded(cfg, failures, log, schedule, num_workers, overload, rec, None)
+        .expect("a sharded drive without checkpoints does no I/O")
 }
 
 /// A checkpointable barrier recorded by the pre-pass: the length of every
@@ -343,9 +298,9 @@ pub(crate) struct PrePass {
     pub cuts: Vec<ShardCut>,
 }
 
-/// The sequential pre-pass, shared verbatim between [`replay_impl`] and
-/// the checkpointed path in [`crate::replayer_checkpoint`] so both
-/// resolve, admit, and shard every request identically. `barrier_every`
+/// The sequential pre-pass, shared verbatim between [`drive_sharded`]
+/// and the socket serving plane in [`crate::serve`] so both resolve,
+/// admit, and shard every request identically. `barrier_every`
 /// additionally records a [`ShardCut`] each time the log crosses that
 /// many scheduler epochs; `None` records no cuts and changes nothing
 /// else.
@@ -391,45 +346,37 @@ pub(crate) fn prepare_shards(
             o.headroom,
         )
     });
-    let mut ledger_epoch = u64::MAX;
-    let mut current_epoch = u64::MAX;
-    let mut seg_epoch = u64::MAX;
-    // Telemetry epoch tracking is independent of the fault cursor so the
-    // static (no-schedule) path still gets a per-epoch resolve timeline.
-    let mut tele_epoch = u64::MAX;
+    let mut prev_epoch = u64::MAX;
     let mut resolve_span: Option<SpanTimer> = None;
     let mut epoch_remaps = 0u64;
     let mut epoch_reroutes = 0u64;
     for e in log.entries() {
         let epoch = e.time.as_secs() / epoch_secs;
-        if let Some(every) = barrier_every {
-            let every = every.max(1);
-            // Cut before this epoch's churn pseudo-ops are pushed: a
-            // checkpoint at this barrier captures the state *before*
-            // the boundary, mirroring the engine checkpoint semantics.
-            if seg_epoch != u64::MAX && epoch / every != seg_epoch / every {
-                cuts.push(ShardCut {
-                    barrier_epoch: epoch,
-                    lens: shards.iter().map(Vec::len).collect(),
-                });
+        if epoch != prev_epoch {
+            if prev_epoch != u64::MAX {
+                // Cut before this epoch's churn pseudo-ops are pushed: a
+                // checkpoint at this barrier captures the state *before*
+                // the boundary, mirroring the engine checkpoint semantics.
+                if barrier_every.is_some_and(|n| epoch / n.max(1) != prev_epoch / n.max(1)) {
+                    cuts.push(ShardCut {
+                        barrier_epoch: epoch,
+                        lens: shards.iter().map(Vec::len).collect(),
+                    });
+                }
+                if enabled {
+                    rec.event(Event::Remap, prev_epoch, epoch_remaps);
+                    rec.event(Event::Reroute, prev_epoch, epoch_reroutes);
+                    epoch_remaps = 0;
+                    epoch_reroutes = 0;
+                }
             }
-            seg_epoch = epoch;
-        }
-        if enabled && epoch != tele_epoch {
-            if tele_epoch != u64::MAX {
-                rec.event(Event::Remap, tele_epoch, epoch_remaps);
-                rec.event(Event::Reroute, tele_epoch, epoch_reroutes);
-                epoch_remaps = 0;
-                epoch_reroutes = 0;
+            prev_epoch = epoch;
+            if enabled {
+                // Replacing the span drops (and thus reports) the
+                // previous epoch's resolve time.
+                resolve_span = Some(SpanTimer::start(rec, Stage::ResolveOwner, epoch));
             }
-            tele_epoch = epoch;
-            // Replacing the span drops (and thus reports) the previous
-            // epoch's resolve time.
-            resolve_span = Some(SpanTimer::start(rec, Stage::ResolveOwner, epoch));
-        }
-        if let Some(cur) = cursor.as_mut() {
-            if epoch != current_epoch {
-                current_epoch = epoch;
+            if let Some(cur) = cursor.as_mut() {
                 let delta = cur.advance_to(epoch * epoch_secs);
                 if enabled {
                     crate::access_log::record_fault_delta(rec, epoch, &delta);
@@ -450,13 +397,8 @@ pub(crate) fn prepare_shards(
                     cut_links: cur.view().cut_link_count() as u32,
                 });
             }
-        }
-        if let Some(l) = ledger.as_mut() {
-            if epoch != ledger_epoch {
-                ledger_epoch = epoch;
-                for p in l.advance_to(epoch) {
-                    direct.utilization.push(p);
-                }
+            if let Some(l) = ledger.as_mut() {
+                direct.utilization.extend(l.advance_to(epoch));
             }
         }
         let view = cursor.as_ref().map(|c| c.view()).unwrap_or(base_failures);
@@ -473,151 +415,117 @@ pub(crate) fn prepare_shards(
             }
             continue;
         };
-        if let (Some(l), Some(ocfg)) = (ledger.as_mut(), overload) {
-            // Overload lifecycle: admit/retry/fallback decided here on
-            // the sequential spine; workers only touch caches.
-            let lc = crate::overload::decide(
+        // Overload lifecycle: admit/retry/fallback decided here on the
+        // sequential spine; workers only touch caches.
+        let (route, penalty_ms, replica) = match (ledger.as_mut(), overload) {
+            (Some(l), Some(ocfg)) => {
+                let lc = crate::overload::decide(
+                    &cfg.grid,
+                    tiling.as_ref(),
+                    view,
+                    cfg.remap_on_failure,
+                    span,
+                    l,
+                    epoch,
+                    epoch_ms,
+                    fc,
+                    e.object,
+                    e.size,
+                    &latency,
+                    ocfg,
+                    rec,
+                );
+                lc.account(&mut direct, rec);
+                match lc.decision {
+                    Decision::Serve { route, replica, penalty_ms } => {
+                        (route, penalty_ms, Some(replica))
+                    }
+                    Decision::OriginFallback { penalty_ms } => {
+                        let base = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
+                        let lat = if penalty_ms > 0.0 { base + penalty_ms } else { base };
+                        direct.record(fc, ServedFrom::Ground, e.size, lat);
+                        direct.served_origin_fallback += 1;
+                        if enabled {
+                            rec.add(Counter::OriginFallbacks, 1);
+                        }
+                        continue;
+                    }
+                    Decision::Drop => {
+                        direct.dropped_requests += 1;
+                        if enabled {
+                            rec.add(Counter::RequestsDropped, 1);
+                        }
+                        continue;
+                    }
+                }
+            }
+            _ => match classify_route_in_recorded(
                 &cfg.grid,
                 tiling.as_ref(),
                 view,
                 cfg.remap_on_failure,
-                span,
-                l,
-                epoch,
-                epoch_ms,
                 fc,
                 e.object,
-                e.size,
-                &latency,
-                ocfg,
                 rec,
-            );
-            direct.shed_requests += lc.sheds as u64;
-            direct.retry_attempts += lc.retries as u64;
-            if lc.partitioned > 0 {
-                direct.partitioned_requests += 1;
-            }
-            if enabled {
-                rec.add(Counter::RequestsShed, lc.sheds as u64);
-                rec.add(Counter::RetryAttempts, lc.retries as u64);
-                rec.observe(Histo::RetryCount, lc.retries as u64);
-                if lc.partitioned > 0 {
-                    rec.add(Counter::RequestsPartitioned, 1);
-                }
-            }
-            match lc.decision {
-                crate::overload::Decision::Serve { route, replica, penalty_ms } => {
-                    if route.remapped {
-                        direct.remapped_requests += 1;
-                    }
-                    direct.reroute_extra_hops += route.extra_hops as u64;
-                    if enabled {
-                        if route.remapped {
-                            rec.add(Counter::RemappedRequests, 1);
-                            epoch_remaps += 1;
-                        }
-                        rec.add(Counter::RerouteExtraHops, route.extra_hops as u64);
-                        epoch_reroutes += route.extra_hops as u64;
-                    }
-                    let shard = route.owner.index(spp) % num_workers;
-                    shards[shard].push(ShardOp::Request(ResolvedEntry {
-                        object: e.object,
-                        size: e.size,
-                        owner: route.owner,
-                        intra: route.intra,
-                        inter: route.inter,
-                        gsl_oneway_ms: e.gsl_oneway_ms,
-                        penalty_ms,
-                        replica: Some(replica),
-                        epoch,
-                    }));
-                }
-                crate::overload::Decision::OriginFallback { penalty_ms } => {
-                    let base = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
-                    let lat = if penalty_ms > 0.0 { base + penalty_ms } else { base };
+            ) {
+                RouteOutcome::Routed(route) => (route, 0.0, None),
+                RouteOutcome::Partitioned { .. } => {
+                    // Owner alive but cut off behind a grid partition:
+                    // degrade to the origin bent pipe, exactly like the
+                    // engine's `handle_request` (uplink charged to the
+                    // first contact's GSL, zero ISL hops).
+                    let lat = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
                     direct.record(fc, ServedFrom::Ground, e.size, lat);
-                    direct.served_origin_fallback += 1;
+                    direct.partitioned_requests += 1;
                     if enabled {
-                        rec.add(Counter::OriginFallbacks, 1);
+                        rec.add(Counter::RequestsPartitioned, 1);
                     }
+                    continue;
                 }
-                crate::overload::Decision::Drop => {
-                    direct.dropped_requests += 1;
+                RouteOutcome::Unroutable => {
+                    let lat = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
+                    direct.record(fc, ServedFrom::Ground, e.size, lat);
                     if enabled {
-                        rec.add(Counter::RequestsDropped, 1);
+                        rec.add(Counter::RequestsUnroutable, 1);
                     }
+                    continue;
                 }
-            }
-            continue;
+            },
+        };
+        if route.remapped {
+            direct.remapped_requests += 1;
         }
-        match classify_route_in_recorded(
-            &cfg.grid,
-            tiling.as_ref(),
-            view,
-            cfg.remap_on_failure,
-            fc,
-            e.object,
-            rec,
-        ) {
-            RouteOutcome::Routed(route) => {
-                if route.remapped {
-                    direct.remapped_requests += 1;
-                }
-                direct.reroute_extra_hops += route.extra_hops as u64;
-                if enabled {
-                    if route.remapped {
-                        rec.add(Counter::RemappedRequests, 1);
-                        epoch_remaps += 1;
-                    }
-                    rec.add(Counter::RerouteExtraHops, route.extra_hops as u64);
-                    epoch_reroutes += route.extra_hops as u64;
-                }
-                let shard = route.owner.index(spp) % num_workers;
-                shards[shard].push(ShardOp::Request(ResolvedEntry {
-                    object: e.object,
-                    size: e.size,
-                    owner: route.owner,
-                    intra: route.intra,
-                    inter: route.inter,
-                    gsl_oneway_ms: e.gsl_oneway_ms,
-                    penalty_ms: 0.0,
-                    replica: None,
-                    epoch,
-                }));
+        direct.reroute_extra_hops += route.extra_hops as u64;
+        if enabled {
+            if route.remapped {
+                rec.add(Counter::RemappedRequests, 1);
+                epoch_remaps += 1;
             }
-            RouteOutcome::Partitioned { .. } => {
-                // Owner alive but cut off behind a grid partition:
-                // degrade to the origin bent pipe, exactly like the
-                // engine's `handle_request` (uplink charged to the first
-                // contact's GSL, zero ISL hops).
-                let lat = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
-                direct.record(fc, ServedFrom::Ground, e.size, lat);
-                direct.partitioned_requests += 1;
-                if enabled {
-                    rec.add(Counter::RequestsPartitioned, 1);
-                }
-            }
-            RouteOutcome::Unroutable => {
-                let lat = latency.ground_miss_rtt_ms(e.gsl_oneway_ms, 0, 0, 0);
-                direct.record(fc, ServedFrom::Ground, e.size, lat);
-                if enabled {
-                    rec.add(Counter::RequestsUnroutable, 1);
-                }
-            }
+            rec.add(Counter::RerouteExtraHops, route.extra_hops as u64);
+            epoch_reroutes += route.extra_hops as u64;
         }
+        shards[route.owner.index(spp) % num_workers].push(ShardOp::Request(ResolvedEntry {
+            object: e.object,
+            size: e.size,
+            owner: route.owner,
+            intra: route.intra,
+            inter: route.inter,
+            gsl_oneway_ms: e.gsl_oneway_ms,
+            penalty_ms,
+            replica,
+            epoch,
+        }));
     }
     // Close out the last epoch's resolve span and event cells, then
     // record how much work each shard was handed.
     drop(resolve_span);
-    if let Some(mut l) = ledger.take() {
-        for p in l.finish() {
-            direct.utilization.push(p);
-        }
+    if let Some(mut l) = ledger {
+        direct.utilization.extend(l.finish());
     }
     if enabled {
-        if tele_epoch != u64::MAX {
-            rec.event(Event::Remap, tele_epoch, epoch_remaps);
-            rec.event(Event::Reroute, tele_epoch, epoch_reroutes);
+        if prev_epoch != u64::MAX {
+            rec.event(Event::Remap, prev_epoch, epoch_remaps);
+            rec.event(Event::Reroute, prev_epoch, epoch_reroutes);
         }
         for shard in &shards {
             rec.observe(Histo::QueueDepth, shard.len() as u64);
@@ -627,8 +535,8 @@ pub(crate) fn prepare_shards(
 }
 
 /// Everything a worker needs besides its own mutable state. Shared
-/// between [`replay_impl`] and the checkpointed path so the per-op
-/// behaviour is identical by construction.
+/// between [`drive_sharded`] and the serving plane's shard servers so
+/// the per-op behaviour is identical by construction.
 pub(crate) struct WorkerCtx<'a> {
     pub caches: &'a [Mutex<Box<dyn Cache + Send>>],
     /// Per-slot outstanding-fetch queues. Owner-sharded like the
@@ -721,26 +629,8 @@ pub(crate) fn run_shard_ops(
             (ServedFrom::LocalHit, ctx.latency.space_hit_rtt_ms(e.gsl_oneway_ms, e.intra, e.inter))
         } else {
             if ctx.probe {
-                let w = neighbor_contains(
-                    ctx.caches,
-                    ctx.grid,
-                    ctx.failures,
-                    e.owner,
-                    ctx.span,
-                    true,
-                    e.object,
-                    ctx.spp,
-                );
-                let ea = neighbor_contains(
-                    ctx.caches,
-                    ctx.grid,
-                    ctx.failures,
-                    e.owner,
-                    ctx.span,
-                    false,
-                    e.object,
-                    ctx.spp,
-                );
+                let w = neighbor_contains(ctx, e.owner, true, e.object);
+                let ea = neighbor_contains(ctx, e.owner, false, e.object);
                 m.neighbor_availability.record(w, ea, e.size);
             }
             let mut served = None;
@@ -811,99 +701,165 @@ pub(crate) fn run_shard_ops(
     }
 }
 
-fn replay_impl(
+/// Everything the workers mutate, kept across segments: the shared
+/// per-slot caches and outstanding-fetch queues, and per worker (shard
+/// index order) its cold flags, metrics and recorder. Checkpoints
+/// snapshot exactly this.
+pub(crate) struct WorkerState {
+    pub(crate) caches: Vec<Mutex<Box<dyn Cache + Send>>>,
+    pub(crate) inflight: Vec<Mutex<InflightQueue>>,
+    pub(crate) cold: Vec<Vec<bool>>,
+    pub(crate) metrics: Vec<SystemMetrics>,
+    /// Empty when the caller's recorder is disabled.
+    pub(crate) recs: Vec<MemoryRecorder>,
+}
+
+impl WorkerState {
+    fn new(cfg: &StarCdnConfig, num_workers: usize, recording: bool) -> Self {
+        let total_slots = cfg.grid.total_slots();
+        WorkerState {
+            caches: (0..total_slots)
+                .map(|_| Mutex::new(cfg.policy.build(cfg.cache_capacity_bytes)))
+                .collect(),
+            inflight: (0..total_slots).map(|_| Mutex::new(InflightQueue::new())).collect(),
+            cold: (0..num_workers).map(|_| vec![false; total_slots]).collect(),
+            metrics: (0..num_workers).map(|_| SystemMetrics::default()).collect(),
+            recs: if recording {
+                (0..num_workers).map(|_| MemoryRecorder::new()).collect()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
+/// The one sharded driver. Runs the pre-pass, then the workers: in one
+/// segment, or — with a checkpoint — in one segment per pre-pass
+/// [`ShardCut`], writing a checkpoint after each barrier and, when
+/// resuming, starting after the restored one. Modes are selected by
+/// [`active_modes`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive_sharded(
     cfg: StarCdnConfig,
     base_failures: FailureModel,
     log: LogView<'_>,
-    schedule: Option<&FaultSchedule>,
+    schedule: &FaultSchedule,
     num_workers: usize,
+    overload: &OverloadConfig,
     rec: &dyn Recorder,
-    overload: Option<&crate::overload::OverloadConfig>,
-) -> SystemMetrics {
+    checkpoint: Option<(ReplayWriter<'_>, Option<ReplayResume>)>,
+) -> Result<SystemMetrics, CheckpointError> {
     assert!(num_workers > 0);
+    assert!(
+        cfg.prefetch_top_k.is_none(),
+        "the sharded replayer does not simulate proactive prefetch; \
+         replay prefetch configs on the engine (engine::run_space)"
+    );
+    let (schedule, overload) = active_modes(schedule, overload);
     let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
-    let spp = cfg.grid.sats_per_plane;
-    let span = cfg.relay_span_planes();
-    let total_slots = cfg.grid.total_slots();
-    let enabled = rec.is_enabled();
-
-    // Shared caches, one per slot, plus the owner-sharded
-    // outstanding-fetch queues of the delayed-hit model.
-    let caches: Vec<Mutex<Box<dyn Cache + Send>>> =
-        (0..total_slots).map(|_| Mutex::new(cfg.policy.build(cfg.cache_capacity_bytes))).collect();
-    let inflight: Vec<Mutex<InflightQueue>> =
-        (0..total_slots).map(|_| Mutex::new(InflightQueue::new())).collect();
 
     // Sequential pre-pass: partition by owner, preserving per-owner
     // order. Route resolution uses the live failure view of each entry's
     // epoch; wipe/cold pseudo-ops land in the owning satellite's stream
     // at the epoch boundary. Unreachable or unroutable requests and the
-    // degraded-mode counters are accounted directly there.
-    let pre = prepare_shards(&cfg, &base_failures, log, schedule, num_workers, rec, overload, None);
-    let PrePass { shards, direct, .. } = pre;
+    // degraded-mode counters are accounted directly there. A resumed run
+    // re-runs it in full: it is deterministic, so the shard streams,
+    // direct metrics, and cut table come out identical to the original
+    // run's.
+    let (writer, resume) = checkpoint.map_or((None, None), |(w, r)| (Some(w), r));
+    let barrier_every = writer.map(|w| w.every_n_epochs());
+    let pre = prepare_shards(
+        &cfg,
+        &base_failures,
+        log,
+        schedule,
+        num_workers,
+        rec,
+        overload,
+        barrier_every,
+    );
+    let PrePass { shards, direct, cuts } = pre;
+
+    let mut state = WorkerState::new(&cfg, num_workers, rec.is_enabled());
+    let mut starts: Vec<usize> = vec![0; num_workers];
+    let mut next_segment = 0usize; // segments are [0, cuts.len()]
+    if let Some(resume) = resume {
+        let Some(pos) = cuts.iter().position(|c| c.barrier_epoch == resume.barrier_epoch) else {
+            return Err(CheckpointError::ConfigMismatch);
+        };
+        resume.restore(&mut state)?;
+        starts = cuts[pos].lens.clone();
+        if starts.iter().zip(&shards).any(|(&s, shard)| s > shard.len()) {
+            return Err(CheckpointError::State("cut beyond shard stream".into()));
+        }
+        next_segment = pos + 1;
+    }
 
     let ctx = WorkerCtx {
-        caches: &caches,
-        inflight: &inflight,
+        caches: &state.caches,
+        inflight: &state.inflight,
         grid: &cfg.grid,
         failures: &base_failures,
         latency: &latency,
         relay: cfg.relay,
         delayed: cfg.delayed,
         probe: cfg.probe_neighbors_on_miss,
-        span,
-        spp,
+        span: cfg.relay_span_planes(),
+        spp: cfg.grid.sats_per_plane,
     };
-    let ctx_ref = &ctx;
-
-    // Per-worker recorders: workers never touch the shared `rec`, so the
-    // hot path has no cross-thread contention and the merged snapshot is
-    // independent of thread interleaving (merged in shard index order
-    // below).
-    let worker_recs: Vec<MemoryRecorder> = if enabled {
-        (0..num_workers).map(|_| MemoryRecorder::new()).collect()
-    } else {
-        Vec::new()
-    };
-    let worker_recs_ref = &worker_recs;
-
-    let per_worker: Vec<SystemMetrics> = thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(widx, shard)| {
-                s.spawn(move |_| {
-                    let wrec = worker_recs_ref.get(widx);
-                    let _shard_span =
-                        wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, widx as u64));
-                    let mut m = SystemMetrics::default();
-                    let mut cold = vec![false; total_slots];
-                    run_shard_ops(shard, ctx_ref, &mut m, &mut cold, wrec);
-                    m
+    for seg in next_segment..=cuts.len() {
+        let ends: Vec<usize> = match cuts.get(seg) {
+            Some(cut) => cut.lens.clone(),
+            None => shards.iter().map(Vec::len).collect(),
+        };
+        let (ctx_ref, starts_ref, ends_ref, shards_ref) = (&ctx, &starts, &ends, &shards);
+        let recs = &state.recs;
+        // Per-worker recorders: workers never touch the shared `rec`, so
+        // the hot path has no cross-thread contention.
+        thread::scope(|s| {
+            let handles: Vec<_> = state
+                .metrics
+                .iter_mut()
+                .zip(state.cold.iter_mut())
+                .enumerate()
+                .map(|(w, (m, cold))| {
+                    s.spawn(move |_| {
+                        let wrec = recs.get(w);
+                        let _shard_span =
+                            wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, w as u64));
+                        let ops = &shards_ref[w][starts_ref[w]..ends_ref[w]];
+                        run_shard_ops(ops, ctx_ref, m, cold, wrec);
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
-    .expect("replayer scope");
+                .collect();
+            for h in handles {
+                h.join().expect("worker panicked");
+            }
+        })
+        .expect("replayer scope");
+        // All workers joined: a snapshot here is globally consistent.
+        if let (Some(cut), Some(w)) = (cuts.get(seg), writer) {
+            w.write(cut.barrier_epoch, &state)?;
+        }
+        starts = ends;
+    }
 
     // Deterministic telemetry merge: snapshot each worker recorder in
     // shard index order, fold into one snapshot, absorb once. The shard
     // streams themselves are deterministic, so the merged snapshot is
     // bit-for-bit stable across runs and worker interleavings.
-    if enabled {
+    if rec.is_enabled() {
         let mut merged = TelemetrySnapshot::default();
-        for wr in &worker_recs {
+        for wr in &state.recs {
             merged.merge(&wr.snapshot());
         }
         rec.absorb(&merged);
     }
-
     let mut total = direct;
-    for m in &per_worker {
+    for m in &state.metrics {
         total.merge(m);
     }
-    total
+    Ok(total)
 }
 
 // ---------------------------------------------------------------------------
@@ -1023,22 +979,18 @@ pub(crate) fn degrade_op_to_origin(op: &ShardOp, latency: &LatencyModel, m: &mut
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn neighbor_contains(
-    caches: &[Mutex<Box<dyn Cache + Send>>],
-    grid: &starcdn_constellation::grid::GridTopology,
-    failures: &FailureModel,
+    ctx: &WorkerCtx<'_>,
     owner: starcdn_orbit::walker::SatelliteId,
-    span: u16,
     west: bool,
     object: starcdn_cache::object::ObjectId,
-    spp: u16,
 ) -> bool {
-    let slot = if west { grid.west_by(owner, span) } else { grid.east_by(owner, span) };
-    failures
-        .resolve_owner(grid, slot)
+    let slot =
+        if west { ctx.grid.west_by(owner, ctx.span) } else { ctx.grid.east_by(owner, ctx.span) };
+    ctx.failures
+        .resolve_owner(ctx.grid, slot)
         .filter(|&s| s != owner)
-        .map(|s| caches[s.index(spp)].lock().contains(object))
+        .map(|s| ctx.caches[s.index(ctx.spp)].lock().contains(object))
         .unwrap_or(false)
 }
 
@@ -1219,5 +1171,12 @@ mod tests {
             &AccessLog::default(),
             0,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not simulate proactive prefetch")]
+    fn prefetch_configs_rejected() {
+        let cfg = StarCdnConfig::starcdn_prefetch(4, 100_000, 8);
+        replay_parallel(cfg, FailureModel::none(), &log(), 2);
     }
 }

@@ -4,25 +4,26 @@
 //! is deterministic and cheap relative to the cache work, so a resumed
 //! run simply re-runs it in full to rebuild the shard streams, the
 //! directly-accounted metrics, and the segment cut table. Only the
-//! worker-side state is persisted: every slot's cache contents, each
+//! `WorkerState` is persisted: every slot's cache contents, each
 //! worker's cold-satellite flags, accumulated metrics, and telemetry
 //! recorder.
 //!
-//! Execution is segmented at the pre-pass's [`ShardCut`] barriers (one
-//! per `every_n_epochs` scheduler epochs): all workers join at the
-//! barrier — so the snapshot is globally consistent even with relay
-//! probes reading neighbour caches across shards — a checkpoint is
-//! written with the same atomic-rename/CRC container as the engine's
-//! ([`crate::checkpoint`], KIND_REPLAY), and the next segment starts.
-//! Workers keep their metric/cold state across segments, and per-shard
-//! streams are replayed in order, so the checkpointed run's output is
-//! bit-for-bit identical to [`crate::replayer::replay_parallel_overloaded_recorded`]
-//! for configurations whose parallel replay is itself deterministic
-//! (no-relay; relay configs keep the usual bounded skew).
+//! Given a `ReplayWriter`, the sharded driver
+//! (`crate::replayer::drive_sharded`) segments execution at the
+//! pre-pass's cut barriers (one per `every_n_epochs` scheduler epochs):
+//! all workers join at the barrier — so the snapshot is globally
+//! consistent even with relay probes reading neighbour caches across
+//! shards — and `ReplayWriter::write` stores it with the same
+//! atomic-rename/CRC container as the engine's ([`crate::checkpoint`],
+//! KIND_REPLAY). Per-shard streams are replayed in order, so the
+//! checkpointed run's output is bit-for-bit identical to the
+//! non-checkpointed one for configurations whose parallel replay is
+//! itself deterministic (no-relay; relay configs keep the usual bounded
+//! skew).
 //!
-//! Resume restores per-worker state in shard index order (the PR 3
-//! determinism rule), so a resumed run matches the uninterrupted one at
-//! any worker count.
+//! Resume restores per-worker state in shard index order (the
+//! shard-and-merge determinism rule, DESIGN.md §9), so a resumed run
+//! matches the uninterrupted one at any worker count.
 
 use crate::access_log::AccessLog;
 use crate::checkpoint::{
@@ -31,19 +32,17 @@ use crate::checkpoint::{
     put_telemetry, sweep_stale_tmps_io, write_atomic, ByteReader, ByteWriter, CheckpointError,
     CheckpointPolicy, RawCheckpoint, KIND_REPLAY,
 };
+use crate::engine::active_modes;
 use crate::overload::OverloadConfig;
-use crate::replayer::{prepare_shards, run_shard_ops, PrePass, WorkerCtx};
-use crossbeam::thread;
+use crate::replayer::{drive_sharded, WorkerState};
 use parking_lot::Mutex;
 use starcdn::config::StarCdnConfig;
-use starcdn::latency::LatencyModel;
 use starcdn::metrics::SystemMetrics;
-use starcdn_cache::policy::Cache;
 use starcdn_cache::{CacheState, InflightQueue, InflightState};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::FaultSchedule;
 use starcdn_io::{Io, RealIo};
-use starcdn_telemetry::{Event, MemoryRecorder, Recorder, SpanTimer, Stage, TelemetrySnapshot};
+use starcdn_telemetry::{Event, Recorder, TelemetrySnapshot};
 use std::path::Path;
 
 /// Fingerprint of everything a replayer checkpoint must agree with the
@@ -211,16 +210,108 @@ pub(crate) fn validate_sections(raw: &RawCheckpoint) -> Result<(), CheckpointErr
     Ok(())
 }
 
-struct ReplayResume {
-    barrier_epoch: u64,
+/// The checkpoint writer of one [`drive_sharded`] run: where and how
+/// often to write, and what to stamp into each file.
+#[derive(Clone, Copy)]
+pub(crate) struct ReplayWriter<'a> {
+    policy: &'a CheckpointPolicy,
+    io: &'a dyn Io,
+    fingerprint: u64,
+    total_slots: usize,
+}
+
+impl<'a> ReplayWriter<'a> {
+    /// The writer for a run with these inputs (modes by [`active_modes`]).
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        cfg: &StarCdnConfig,
+        failures: &FailureModel,
+        log: &AccessLog,
+        schedule: &FaultSchedule,
+        num_workers: usize,
+        overload: &OverloadConfig,
+        policy: &'a CheckpointPolicy,
+        io: &'a dyn Io,
+    ) -> Self {
+        let (sched, ov) = active_modes(schedule, overload);
+        let epoch_secs = log.epoch_secs.max(1);
+        ReplayWriter {
+            policy,
+            io,
+            fingerprint: replay_fingerprint(cfg, failures, epoch_secs, sched, ov, num_workers),
+            total_slots: cfg.grid.total_slots(),
+        }
+    }
+
+    /// The pre-pass records a cut every this many scheduler epochs.
+    pub(crate) fn every_n_epochs(self) -> u64 {
+        self.policy.every_n_epochs.max(1)
+    }
+
+    /// Write the checkpoint for the barrier at `barrier_epoch`; every
+    /// worker has joined, so `state` is globally consistent.
+    pub(crate) fn write(
+        &self,
+        barrier_epoch: u64,
+        state: &WorkerState,
+    ) -> Result<(), CheckpointError> {
+        let body = ReplayBody {
+            caches: state.caches.iter().map(|c| c.lock().to_state()).collect(),
+            inflight: state.inflight.iter().map(|q| q.lock().to_state()).collect(),
+            cold: state.cold.clone(),
+            metrics: state.metrics.clone(),
+        };
+        let meta = ReplayMeta {
+            fingerprint: self.fingerprint,
+            barrier_epoch,
+            num_workers: state.metrics.len() as u64,
+            total_slots: self.total_slots as u64,
+        };
+        let snaps: Vec<TelemetrySnapshot> = state.recs.iter().map(|r| r.snapshot()).collect();
+        let bytes = encode_container(
+            KIND_REPLAY,
+            &encode_replay_meta(&meta),
+            &encode_replay_body(&body),
+            &encode_worker_telemetry(&snaps),
+        );
+        write_atomic(self.io, &self.policy.dir, barrier_epoch, &bytes, self.policy.keep_last)
+    }
+}
+
+/// A loaded replayer checkpoint, restored at the cut of its barrier.
+pub(crate) struct ReplayResume {
+    pub(crate) barrier_epoch: u64,
     body: ReplayBody,
     telemetry: Vec<TelemetrySnapshot>,
 }
 
+impl ReplayResume {
+    /// Restore the worker-side state, in shard index order.
+    pub(crate) fn restore(self, state: &mut WorkerState) -> Result<(), CheckpointError> {
+        for (slot, cache) in self.body.caches.into_iter().enumerate() {
+            let built = cache
+                .build()
+                .map_err(|e| CheckpointError::State(format!("cache slot {slot}: {e:?}")))?;
+            state.caches[slot] = Mutex::new(built);
+        }
+        for (slot, qs) in self.body.inflight.iter().enumerate() {
+            let q = InflightQueue::from_state(qs)
+                .map_err(|e| CheckpointError::State(format!("inflight slot {slot}: {e:?}")))?;
+            state.inflight[slot] = Mutex::new(q);
+        }
+        state.cold = self.body.cold;
+        state.metrics = self.body.metrics;
+        for (r, snap) in state.recs.iter().zip(&self.telemetry) {
+            r.absorb(snap);
+        }
+        Ok(())
+    }
+}
+
 /// [`crate::replayer::replay_parallel_overloaded_recorded`] with
 /// crash-consistent checkpoints every `policy.every_n_epochs` scheduler
-/// epochs. Dispatches exactly like the non-checkpointed entry point: an
-/// empty schedule disables churn, a disabled `overload` disables the
+/// epochs. Selects modes exactly like the non-checkpointed entry point:
+/// an empty schedule disables churn, a disabled `overload` disables the
 /// admission lifecycle.
 #[allow(clippy::too_many_arguments)]
 pub fn replay_parallel_checkpointed(
@@ -260,10 +351,9 @@ pub fn replay_parallel_checkpointed_io(
     rec: &dyn Recorder,
     io: &dyn Io,
 ) -> Result<SystemMetrics, CheckpointError> {
-    let sched = (!schedule.is_empty()).then_some(schedule);
-    let ov = overload.is_enabled().then_some(overload);
     sweep_stale_tmps_io(io, &policy.dir);
-    checkpointed_impl(cfg, failures, log, sched, num_workers, ov, policy, rec, None, io)
+    let w = ReplayWriter::new(&cfg, &failures, log, schedule, num_workers, overload, policy, io);
+    drive_sharded(cfg, failures, log.view(), schedule, num_workers, overload, rec, Some((w, None)))
 }
 
 /// Resume an interrupted [`replay_parallel_checkpointed`] run from the
@@ -310,31 +400,24 @@ pub fn resume_replay_checkpointed_io(
     rec: &dyn Recorder,
     io: &dyn Io,
 ) -> Result<SystemMetrics, CheckpointError> {
-    let sched = (!schedule.is_empty()).then_some(schedule);
-    let ov = overload.is_enabled().then_some(overload);
-    let fingerprint =
-        replay_fingerprint(&cfg, &failures, log.epoch_secs.max(1), sched, ov, num_workers);
+    let w = ReplayWriter::new(&cfg, &failures, log, schedule, num_workers, overload, policy, io);
     sweep_stale_tmps_io(io, &policy.dir);
     let files = list_checkpoint_files_io(io, &policy.dir);
     for (epoch, path) in files.iter().rev() {
-        let resume = match try_load_replay(io, path, fingerprint, &cfg, num_workers) {
-            Ok(r) => r,
-            Err(_) => {
-                rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
-                continue;
-            }
+        let Ok(resume) = try_load_replay(io, path, w.fingerprint, &cfg, num_workers) else {
+            rec.event(Event::CheckpointRestoreFallback, *epoch, 1);
+            continue;
         };
-        match checkpointed_impl(
+        let ck = Some((w, Some(resume)));
+        match drive_sharded(
             cfg.clone(),
             failures.clone(),
-            log,
-            sched,
+            log.view(),
+            schedule,
             num_workers,
-            ov,
-            policy,
+            overload,
             rec,
-            Some(resume),
-            io,
+            ck,
         ) {
             Ok(m) => return Ok(m),
             // A structurally valid checkpoint can still fail semantic
@@ -390,178 +473,6 @@ fn try_load_replay(
     Ok(ReplayResume { barrier_epoch: meta.barrier_epoch, body, telemetry })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn checkpointed_impl(
-    cfg: StarCdnConfig,
-    base_failures: FailureModel,
-    log: &AccessLog,
-    schedule: Option<&FaultSchedule>,
-    num_workers: usize,
-    overload: Option<&OverloadConfig>,
-    policy: &CheckpointPolicy,
-    rec: &dyn Recorder,
-    resume: Option<ReplayResume>,
-    io: &dyn Io,
-) -> Result<SystemMetrics, CheckpointError> {
-    assert!(num_workers > 0);
-    let enabled = rec.is_enabled();
-    let every = policy.every_n_epochs.max(1);
-    let epoch_secs = log.epoch_secs.max(1);
-    let total_slots = cfg.grid.total_slots();
-    let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
-    let fingerprint =
-        replay_fingerprint(&cfg, &base_failures, epoch_secs, schedule, overload, num_workers);
-
-    // The pre-pass is re-run in full on resume: it is deterministic, so
-    // the shard streams, direct metrics, and cut table come out
-    // identical to the original run's.
-    let pre = prepare_shards(
-        &cfg,
-        &base_failures,
-        log.view(),
-        schedule,
-        num_workers,
-        rec,
-        overload,
-        Some(every),
-    );
-    let PrePass { shards, direct, cuts } = pre;
-
-    let mut caches: Vec<Mutex<Box<dyn Cache + Send>>> =
-        (0..total_slots).map(|_| Mutex::new(cfg.policy.build(cfg.cache_capacity_bytes))).collect();
-    let mut inflight: Vec<Mutex<InflightQueue>> =
-        (0..total_slots).map(|_| Mutex::new(InflightQueue::new())).collect();
-    let mut worker_metrics: Vec<SystemMetrics> =
-        (0..num_workers).map(|_| SystemMetrics::default()).collect();
-    let mut worker_cold: Vec<Vec<bool>> =
-        (0..num_workers).map(|_| vec![false; total_slots]).collect();
-    let worker_recs: Vec<MemoryRecorder> = if enabled {
-        (0..num_workers).map(|_| MemoryRecorder::new()).collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut starts: Vec<usize> = vec![0; num_workers];
-    let mut next_segment = 0usize; // segments are [0, cuts.len()]
-
-    if let Some(rs) = resume {
-        let Some(pos) = cuts.iter().position(|c| c.barrier_epoch == rs.barrier_epoch) else {
-            return Err(CheckpointError::ConfigMismatch);
-        };
-        // Restore in shard index order (PR 3 determinism rule).
-        for (slot, state) in rs.body.caches.into_iter().enumerate() {
-            let built = state
-                .build()
-                .map_err(|e| CheckpointError::State(format!("cache slot {slot}: {e:?}")))?;
-            caches[slot] = Mutex::new(built);
-        }
-        for (slot, qs) in rs.body.inflight.iter().enumerate() {
-            let q = InflightQueue::from_state(qs)
-                .map_err(|e| CheckpointError::State(format!("inflight slot {slot}: {e:?}")))?;
-            inflight[slot] = Mutex::new(q);
-        }
-        worker_cold = rs.body.cold;
-        worker_metrics = rs.body.metrics;
-        if enabled {
-            for (w, snap) in rs.telemetry.iter().enumerate() {
-                if let Some(r) = worker_recs.get(w) {
-                    r.absorb(snap);
-                }
-            }
-        }
-        starts = cuts[pos].lens.clone();
-        if starts.iter().zip(&shards).any(|(&s, shard)| s > shard.len()) {
-            return Err(CheckpointError::State("cut beyond shard stream".into()));
-        }
-        next_segment = pos + 1;
-    }
-
-    let ctx = WorkerCtx {
-        caches: &caches,
-        inflight: &inflight,
-        delayed: cfg.delayed,
-        grid: &cfg.grid,
-        failures: &base_failures,
-        latency: &latency,
-        relay: cfg.relay,
-        probe: cfg.probe_neighbors_on_miss,
-        span: cfg.relay_span_planes(),
-        spp: cfg.grid.sats_per_plane,
-    };
-
-    for seg in next_segment..=cuts.len() {
-        let ends: Vec<usize> = match cuts.get(seg) {
-            Some(cut) => cut.lens.clone(),
-            None => shards.iter().map(Vec::len).collect(),
-        };
-        {
-            let ctx_ref = &ctx;
-            let starts_ref = &starts;
-            let ends_ref = &ends;
-            let shards_ref = &shards;
-            let worker_recs_ref = &worker_recs;
-            thread::scope(|s| {
-                let handles: Vec<_> = worker_metrics
-                    .iter_mut()
-                    .zip(worker_cold.iter_mut())
-                    .enumerate()
-                    .map(|(w, (m, cold))| {
-                        s.spawn(move |_| {
-                            let ops = &shards_ref[w][starts_ref[w]..ends_ref[w]];
-                            let wrec = worker_recs_ref.get(w);
-                            let _shard_span =
-                                wrec.map(|r| SpanTimer::start(r, Stage::ReplayShard, w as u64));
-                            run_shard_ops(ops, ctx_ref, m, cold, wrec);
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("worker panicked");
-                }
-            })
-            .expect("replayer scope");
-        }
-        starts = ends;
-        if let Some(cut) = cuts.get(seg) {
-            // All workers joined: snapshot is globally consistent.
-            let body = ReplayBody {
-                caches: caches.iter().map(|c| c.lock().to_state()).collect(),
-                inflight: inflight.iter().map(|q| q.lock().to_state()).collect(),
-                cold: worker_cold.clone(),
-                metrics: worker_metrics.clone(),
-            };
-            let meta = ReplayMeta {
-                fingerprint,
-                barrier_epoch: cut.barrier_epoch,
-                num_workers: num_workers as u64,
-                total_slots: total_slots as u64,
-            };
-            let snaps: Vec<TelemetrySnapshot> = worker_recs.iter().map(|r| r.snapshot()).collect();
-            let bytes = encode_container(
-                KIND_REPLAY,
-                &encode_replay_meta(&meta),
-                &encode_replay_body(&body),
-                &encode_worker_telemetry(&snaps),
-            );
-            write_atomic(io, &policy.dir, cut.barrier_epoch, &bytes, policy.keep_last)?;
-        }
-    }
-
-    if enabled {
-        let mut merged = TelemetrySnapshot::default();
-        for wr in &worker_recs {
-            merged.merge(&wr.snapshot());
-        }
-        rec.absorb(&merged);
-    }
-
-    let mut total = direct;
-    for m in &worker_metrics {
-        total.merge(m);
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,6 +486,7 @@ mod tests {
     use starcdn_constellation::schedule::{FaultEvent, TimedFault};
     use starcdn_orbit::time::SimTime;
     use starcdn_orbit::walker::SatelliteId;
+    use starcdn_telemetry::MemoryRecorder;
     use std::path::PathBuf;
 
     fn log() -> AccessLog {

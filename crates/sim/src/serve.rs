@@ -60,6 +60,9 @@ pub enum ServePlanError {
     RelayUnsupported,
     /// Neighbour probing has the same cross-shard read problem.
     ProbeUnsupported,
+    /// Proactive prefetch rounds are global barriers over every cache;
+    /// only the sequential engine simulates them.
+    PrefetchUnsupported,
     /// `batch_ops` was zero.
     EmptyBatch,
 }
@@ -73,6 +76,12 @@ impl std::fmt::Display for ServePlanError {
             }
             ServePlanError::ProbeUnsupported => {
                 write!(f, "neighbour-probe configs are not servable over sockets")
+            }
+            ServePlanError::PrefetchUnsupported => {
+                write!(
+                    f,
+                    "proactive-prefetch configs are not servable over sockets (use the engine)"
+                )
             }
             ServePlanError::EmptyBatch => write!(f, "batch size must be at least one op"),
         }
@@ -97,6 +106,9 @@ fn validate(
     }
     if cfg.probe_neighbors_on_miss {
         return Err(ServePlanError::ProbeUnsupported);
+    }
+    if cfg.prefetch_top_k.is_some() {
+        return Err(ServePlanError::PrefetchUnsupported);
     }
     Ok(())
 }
@@ -433,6 +445,15 @@ mod tests {
                 .unwrap(),
             ServePlanError::NoShards
         );
+    }
+
+    #[test]
+    fn prefetch_configs_rejected() {
+        let cfg = StarCdnConfig::starcdn_prefetch(4, 100_000, 8);
+        let err = ServePlan::build(&cfg, &FailureModel::none(), &log(), None, None, 2, 64, &Noop)
+            .err()
+            .unwrap();
+        assert_eq!(err, ServePlanError::PrefetchUnsupported);
     }
 
     /// Corrupt batch payloads are typed errors, never panics, and never
