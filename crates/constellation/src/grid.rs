@@ -90,8 +90,12 @@ impl GridTopology {
         let p = self.num_planes;
         let s = self.sats_per_plane;
         match dir {
-            Direction::North => Some(SatelliteId::new(id.orbit, (id.slot + 1) % s)),
-            Direction::South => Some(SatelliteId::new(id.orbit, (id.slot + s - 1) % s)),
+            Direction::North => {
+                Some(SatelliteId::new(id.orbit, if id.slot + 1 < s { id.slot + 1 } else { 0 }))
+            }
+            Direction::South => {
+                Some(SatelliteId::new(id.orbit, if id.slot > 0 { id.slot - 1 } else { s - 1 }))
+            }
             Direction::East => {
                 if id.orbit + 1 < p {
                     Some(SatelliteId::new(id.orbit + 1, id.slot))

@@ -2,8 +2,11 @@
 //!
 //! On the healthy torus, a shortest path is any monotone staircase along
 //! the two wrap-minimal axes; we return the canonical "planes first, then
-//! slots" path. With failures (missing satellites or cut links) routing
-//! falls back to breadth-first search over the surviving grid.
+//! slots" path. With failures (missing satellites or cut links),
+//! [`surviving_hop_mix_recorded`] gives the hop mix of a shortest
+//! surviving path: it first checks whether some staircase survives (then
+//! the healthy-torus distance still holds) and only otherwise runs a
+//! breadth-first search over the surviving grid.
 
 use crate::grid::{Direction, GridTopology};
 use crate::isl::{IslKind, LinkModel};
@@ -120,10 +123,12 @@ pub fn shortest_path_avoiding_links(
     shortest_path_avoiding_links_recorded(grid, from, to, alive, link_ok, &Noop)
 }
 
-/// [`shortest_path_avoiding_links`] with telemetry: counts BFS
-/// invocations ([`Counter::BfsRoutes`]) and observes the hop length of
-/// found detours ([`Histo::BfsPathHops`]). The plain entry point passes
-/// [`Noop`], which compiles down to the uninstrumented search.
+/// [`shortest_path_avoiding_links`] with telemetry: counts the route
+/// resolution ([`Counter::BfsRoutes`]) and observes the hop length of the
+/// path found ([`Histo::BfsPathHops`]), as [`surviving_hop_mix_recorded`]
+/// does, so either records the same values for the same query. The plain
+/// entry point passes [`Noop`], which compiles down to the uninstrumented
+/// search.
 pub fn shortest_path_avoiding_links_recorded(
     grid: &GridTopology,
     from: SatelliteId,
@@ -145,6 +150,137 @@ pub fn shortest_path_avoiding_links_recorded(
     path
 }
 
+/// Hop mix `(intra, inter)` of a shortest path from `from` to `to` that
+/// avoids dead satellites (`alive` false) and cut ISLs (`link_ok` false);
+/// its length is `intra + inter`. `None` when an endpoint is dead or `to`
+/// is unreachable over the surviving grid. `link_ok` is asked only about
+/// links whose two ends both passed `alive`.
+///
+/// Any path needs at least the plane distance in inter-orbit hops and the
+/// slot distance in intra-orbit hops, so when a monotone staircase of
+/// healthy-torus length survives, every shortest surviving path has
+/// exactly that mix. The staircase check visits only the box between the
+/// endpoints; the breadth-first search runs only when no staircase
+/// survives. Records the same telemetry as
+/// [`shortest_path_avoiding_links_recorded`]: one [`Counter::BfsRoutes`]
+/// per call and the length in [`Histo::BfsPathHops`] when a path exists.
+pub fn surviving_hop_mix_recorded(
+    grid: &GridTopology,
+    from: SatelliteId,
+    to: SatelliteId,
+    alive: impl Fn(SatelliteId) -> bool,
+    link_ok: impl Fn(SatelliteId, SatelliteId) -> bool,
+    rec: &dyn Recorder,
+) -> Option<(usize, usize)> {
+    let enabled = rec.is_enabled();
+    if enabled {
+        rec.add(Counter::BfsRoutes, 1);
+    }
+    let mix = staircase_hop_mix(grid, from, to, &alive, &link_ok)
+        .or_else(|| bfs_avoiding_links(grid, from, to, alive, link_ok).map(|p| p.hop_mix()));
+    if enabled {
+        if let Some((intra, inter)) = mix {
+            rec.observe(Histo::BfsPathHops, (intra + inter) as u64);
+        }
+    }
+    mix
+}
+
+/// The hop mix of the healthy torus when some monotone staircase from
+/// `from` to `to` survives, trying every wrap-minimal direction on each
+/// axis (both on an axis whose distance is half its ring). `None` means
+/// no staircase survives (or an endpoint is dead, or the slot distance
+/// does not fit one `u64` row), so the caller must search.
+fn staircase_hop_mix(
+    grid: &GridTopology,
+    from: SatelliteId,
+    to: SatelliteId,
+    alive: &impl Fn(SatelliteId) -> bool,
+    link_ok: &impl Fn(SatelliteId, SatelliteId) -> bool,
+) -> Option<(usize, usize)> {
+    // A dead `to` fails the box's last cell (or equals a dead `from`).
+    if !grid.contains(from) || !grid.contains(to) || !alive(from) {
+        return None;
+    }
+    let inter = grid.plane_distance(from.orbit, to.orbit);
+    let intra = grid.slot_distance(from.slot, to.slot);
+    if intra >= 64 {
+        return None;
+    }
+    // Steps from `a` to `b` going up the ring of `n`.
+    let up = |a: u16, b: u16, n: u16| (u32::from(b) + u32::from(n) - u32::from(a)) % u32::from(n);
+    let (p, s) = (grid.num_planes, grid.sats_per_plane);
+    // Without the seam's wrap, the only plane walk is the direct one.
+    let east = up(from.orbit, to.orbit, p) == u32::from(inter)
+        && (grid.seamless || to.orbit >= from.orbit);
+    let west = inter > 0
+        && up(to.orbit, from.orbit, p) == u32::from(inter)
+        && (grid.seamless || from.orbit >= to.orbit);
+    let north = up(from.slot, to.slot, s) == u32::from(intra);
+    let south = intra > 0 && up(to.slot, from.slot, s) == u32::from(intra);
+    let planes = [east.then_some(Direction::East), west.then_some(Direction::West)];
+    let slots = [north.then_some(Direction::North), south.then_some(Direction::South)];
+    for pd in planes.into_iter().flatten() {
+        for sd in slots.into_iter().flatten() {
+            if staircase_survives(grid, from, (pd, inter), (sd, intra), alive, link_ok) {
+                return Some((usize::from(intra), usize::from(inter)));
+            }
+        }
+    }
+    None
+}
+
+/// Whether a monotone path survives from `from` across the box of
+/// `inter` steps in direction `pd` by `intra` (< 64) steps in `sd`.
+/// Row by row along the plane axis, bit `j` of a row marks the cell `j`
+/// slot steps in that is reachable from `from` by such a path; `from`
+/// must be alive.
+fn staircase_survives(
+    grid: &GridTopology,
+    from: SatelliteId,
+    (pd, inter): (Direction, u16),
+    (sd, intra): (Direction, u16),
+    alive: &impl Fn(SatelliteId) -> bool,
+    link_ok: &impl Fn(SatelliteId, SatelliteId) -> bool,
+) -> bool {
+    let mut reach = 0u64; // the previous row
+    let mut above_start = from;
+    for i in 0..=inter {
+        let row_start = match i {
+            0 => from,
+            _ => {
+                let Some(n) = grid.neighbor(above_start, pd) else { return false };
+                n
+            }
+        };
+        let mut row = u64::from(i == 0);
+        let (mut above, mut cur) = (above_start, row_start);
+        for j in 0..=intra {
+            let left = cur;
+            if j > 0 {
+                let (Some(a), Some(c)) = (grid.neighbor(above, sd), grid.neighbor(cur, sd)) else {
+                    return false;
+                };
+                (above, cur) = (a, c);
+            }
+            let from_left = j > 0 && row >> (j - 1) & 1 == 1;
+            let from_above = i > 0 && reach >> j & 1 == 1;
+            if (from_left || from_above)
+                && alive(cur)
+                && ((from_left && link_ok(left, cur)) || (from_above && link_ok(above, cur)))
+            {
+                row |= 1 << j;
+            }
+        }
+        if row == 0 {
+            return false;
+        }
+        reach = row;
+        above_start = row_start;
+    }
+    reach >> intra & 1 == 1
+}
+
 fn bfs_avoiding_links(
     grid: &GridTopology,
     from: SatelliteId,
@@ -164,7 +300,8 @@ fn bfs_avoiding_links(
     visited[from.index(spp)] = true;
     let mut q = VecDeque::from([from]);
     while let Some(cur) = q.pop_front() {
-        for (d, n) in grid.neighbors(cur) {
+        for d in Direction::ALL {
+            let Some(n) = grid.neighbor(cur, d) else { continue };
             if visited[n.index(spp)] || !alive(n) || !link_ok(cur, n) {
                 continue;
             }
@@ -196,6 +333,7 @@ fn bfs_avoiding_links(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failures::FailureModel;
     use proptest::prelude::*;
 
     fn grid() -> GridTopology {
@@ -361,7 +499,211 @@ mod tests {
         assert!(p.is_none());
     }
 
+    /// `(len, intra, inter)` of [`surviving_hop_mix_recorded`] under `f`.
+    fn fast_mix(
+        g: &GridTopology,
+        f: &FailureModel,
+        a: SatelliteId,
+        b: SatelliteId,
+    ) -> Option<(usize, usize, usize)> {
+        surviving_hop_mix_recorded(
+            g,
+            a,
+            b,
+            |id| f.is_alive(id),
+            |x, y| f.is_link_alive(x, y),
+            &Noop,
+        )
+        .map(|(intra, inter)| (intra + inter, intra, inter))
+    }
+
+    /// `(len, intra, inter)` of the breadth-first search alone under `f`.
+    fn bfs_mix(
+        g: &GridTopology,
+        f: &FailureModel,
+        a: SatelliteId,
+        b: SatelliteId,
+    ) -> Option<(usize, usize, usize)> {
+        shortest_path_avoiding_links(g, a, b, |id| f.is_alive(id), |x, y| f.is_link_alive(x, y))
+            .map(|p| {
+                let (intra, inter) = p.hop_mix();
+                (p.len(), intra, inter)
+            })
+    }
+
+    /// The staircase check alone (no search behind it) under `f`.
+    fn staircase(
+        g: &GridTopology,
+        f: &FailureModel,
+        a: SatelliteId,
+        b: SatelliteId,
+    ) -> Option<(usize, usize)> {
+        staircase_hop_mix(g, a, b, &|id| f.is_alive(id), &|x, y| f.is_link_alive(x, y))
+    }
+
+    /// Grids for the differential test: the paper's shell, small odd and
+    /// even tori, and degenerate rings, each with and without the seam.
+    fn differential_grids() -> Vec<GridTopology> {
+        [(72, 18), (4, 4), (5, 3), (2, 2), (3, 1), (1, 5), (6, 5)]
+            .into_iter()
+            .flat_map(|(p, s)| {
+                [true, false].map(|seamless| GridTopology {
+                    num_planes: p,
+                    sats_per_plane: s,
+                    seamless,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn staircase_takes_west_on_plane_half_ring_tie() {
+        // 36 planes either way: kill the east-going line, keep the west.
+        let g = grid();
+        let (a, b) = (SatelliteId::new(0, 3), SatelliteId::new(36, 3));
+        let mut f = FailureModel::none();
+        f.kill(SatelliteId::new(18, 3));
+        assert_eq!(staircase(&g, &f, a, b), Some((0, 36)), "west staircase survives");
+        assert_eq!(fast_mix(&g, &f, a, b), bfs_mix(&g, &f, a, b));
+        assert_eq!(fast_mix(&g, &f, a, b), Some((36, 0, 36)));
+        // Cutting one west-going link too leaves no staircase: the search
+        // must find the detour.
+        f.cut_link(SatelliteId::new(71, 3), SatelliteId::new(70, 3));
+        assert_eq!(staircase(&g, &f, a, b), None);
+        assert_eq!(fast_mix(&g, &f, a, b), bfs_mix(&g, &f, a, b));
+        assert_eq!(fast_mix(&g, &f, a, b).map(|m| m.0), Some(38));
+    }
+
+    #[test]
+    fn staircase_takes_south_on_slot_half_ring_tie() {
+        // 9 slots either way, plus one plane east: cut the north-going
+        // column at both planes so only south-going staircases survive.
+        let g = grid();
+        let (a, b) = (SatelliteId::new(10, 0), SatelliteId::new(11, 9));
+        let mut f = FailureModel::none();
+        f.cut_link(SatelliteId::new(10, 4), SatelliteId::new(10, 5));
+        f.cut_link(SatelliteId::new(11, 4), SatelliteId::new(11, 5));
+        assert_eq!(staircase(&g, &f, a, b), Some((9, 1)), "south staircase survives");
+        assert_eq!(fast_mix(&g, &f, a, b), bfs_mix(&g, &f, a, b));
+        assert_eq!(fast_mix(&g, &f, a, b), Some((10, 9, 1)));
+    }
+
+    #[test]
+    fn staircase_respects_the_seam() {
+        // Without the seam, plane 3 → plane 0 is three hops west, never
+        // one hop east across the seam.
+        let g = GridTopology { num_planes: 4, sats_per_plane: 4, seamless: false };
+        let (a, b) = (SatelliteId::new(3, 0), SatelliteId::new(0, 0));
+        let mut f = FailureModel::none();
+        assert_eq!(staircase(&g, &f, a, b), Some((0, 3)));
+        f.kill(SatelliteId::new(1, 0));
+        assert_eq!(staircase(&g, &f, a, b), None);
+        assert_eq!(fast_mix(&g, &f, a, b), bfs_mix(&g, &f, a, b));
+        assert_eq!(fast_mix(&g, &f, a, b), Some((5, 2, 3)));
+    }
+
+    #[test]
+    fn dead_endpoint_skips_staircase_and_stays_unroutable() {
+        let g = grid();
+        let (a, b) = (SatelliteId::new(0, 0), SatelliteId::new(1, 1));
+        let mut f = FailureModel::none();
+        f.kill(b);
+        assert_eq!(staircase(&g, &f, a, b), None);
+        assert_eq!(fast_mix(&g, &f, a, b), None);
+        assert_eq!(fast_mix(&g, &f, b, a), None);
+        assert_eq!(fast_mix(&g, &f, b, b), None);
+    }
+
+    #[test]
+    fn long_slot_axis_falls_back_to_search() {
+        // A slot distance of 64 or more does not fit one `u64` row.
+        let g = GridTopology { num_planes: 2, sats_per_plane: 200, seamless: true };
+        let (a, b) = (SatelliteId::new(0, 0), SatelliteId::new(1, 100));
+        let mut f = FailureModel::none();
+        f.kill(SatelliteId::new(0, 150));
+        assert_eq!(staircase(&g, &f, a, b), None);
+        assert_eq!(fast_mix(&g, &f, a, b), Some((101, 100, 1)));
+        assert_eq!(fast_mix(&g, &f, a, b), bfs_mix(&g, &f, a, b));
+        let c = SatelliteId::new(1, 63);
+        assert_eq!(staircase(&g, &f, a, c), Some((63, 1)));
+    }
+
+    #[test]
+    fn hop_mix_records_what_the_search_records() {
+        use starcdn_telemetry::MemoryRecorder;
+        let g = GridTopology { num_planes: 6, sats_per_plane: 5, seamless: true };
+        let mut f = FailureModel::sample(&g, 6, 9);
+        f.cut_link(SatelliteId::new(0, 0), SatelliteId::new(0, 1));
+        let (fast, bfs) = (MemoryRecorder::new(), MemoryRecorder::new());
+        for a in g.iter_ids() {
+            for b in g.iter_ids() {
+                let alive = |id| f.is_alive(id);
+                let link_ok = |x, y| f.is_link_alive(x, y);
+                surviving_hop_mix_recorded(&g, a, b, alive, link_ok, &fast);
+                shortest_path_avoiding_links_recorded(&g, a, b, alive, link_ok, &bfs);
+            }
+        }
+        assert_eq!(fast.counter(Counter::BfsRoutes), g.total_slots() as u64 * 30);
+        assert_eq!(fast.snapshot(), bfs.snapshot());
+    }
+
+    #[test]
+    fn bfs_visits_neighbours_in_direction_order() {
+        // Ties between equal-length detours break by `Direction::ALL`
+        // order (north, south, east, west): the dead (1, 0) forces a
+        // detour, and north is tried before south.
+        let g = grid();
+        let p = shortest_path_avoiding(&g, SatelliteId::new(0, 0), SatelliteId::new(2, 0), |id| {
+            id != SatelliteId::new(1, 0)
+        })
+        .expect("a single dead satellite leaves a detour");
+        assert_eq!(
+            p.hops,
+            vec![Direction::North, Direction::East, Direction::East, Direction::South]
+        );
+    }
+
     proptest! {
+        #[test]
+        fn prop_hop_mix_matches_bfs(
+            shape in 0usize..14, seed in 1u64..100_000,
+            kill in 0usize..1_000, cuts in 0usize..1_000,
+            o1 in 0u16..72, s1 in 0u16..18, o2 in 0u16..72, s2 in 0u16..18,
+        ) {
+            let g = differential_grids()[shape].clone();
+            let total = g.total_slots();
+            let mut f = FailureModel::sample(&g, kill % (total / 3 + 1), seed);
+            let mut rng = crate::failures::rand_like::SmallRng::new(seed ^ 0x5_7A1C);
+            for _ in 0..cuts % (total / 2 + 1) {
+                let x = SatelliteId::new(
+                    rng.gen_range(g.num_planes as u64) as u16,
+                    rng.gen_range(g.sats_per_plane as u64) as u16,
+                );
+                if let Some(n) = g.neighbor(x, Direction::ALL[rng.gen_range(4) as usize]) {
+                    f.cut_link(x, n);
+                }
+            }
+            let pick = |o: u16, s: u16| SatelliteId::new(o % g.num_planes, s % g.sats_per_plane);
+            let mut pairs = vec![(pick(o1, s1), pick(o2, s2))];
+            if total <= 36 {
+                pairs.extend(g.iter_ids().flat_map(|a| g.iter_ids().map(move |b| (a, b))));
+            }
+            for (a, b) in pairs {
+                let fast = fast_mix(&g, &f, a, b);
+                prop_assert_eq!(fast, bfs_mix(&g, &f, a, b), "{:?}: {} -> {}", g, a, b);
+                if let Some((len, _, _)) = fast {
+                    prop_assert!(len >= g.hop_distance(a, b) as usize);
+                }
+                // Liveness alone, with every link between live nodes up.
+                let alive = |id| f.is_alive(id);
+                prop_assert_eq!(
+                    surviving_hop_mix_recorded(&g, a, b, alive, |_, _| true, &Noop),
+                    shortest_path_avoiding(&g, a, b, alive).map(|p| p.hop_mix()),
+                    "{:?}: {} -> {}", g, a, b
+                );
+            }
+        }
+
         #[test]
         fn prop_path_length_equals_hop_distance(
             o1 in 0u16..72, s1 in 0u16..18, o2 in 0u16..72, s2 in 0u16..18,

@@ -106,8 +106,9 @@ pub struct SystemMetrics {
     /// (first accesses after a cold restart).
     #[serde(default)]
     pub cold_restart_misses: u64,
-    /// Extra ISL hops paid because BFS had to route around dead
-    /// satellites or cut links (vs. the healthy-torus hop distance).
+    /// Extra ISL hops paid because the shortest surviving path had to
+    /// route around dead satellites or cut links (vs. the healthy-torus
+    /// hop distance).
     #[serde(default)]
     pub reroute_extra_hops: u64,
     /// Per-epoch constellation availability under a fault schedule

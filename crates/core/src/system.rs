@@ -25,7 +25,7 @@ use starcdn_cache::{InflightQueue, InflightState};
 use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
-use starcdn_constellation::routing::shortest_path_avoiding_links_recorded;
+use starcdn_constellation::routing::surviving_hop_mix_recorded;
 use starcdn_orbit::walker::SatelliteId;
 
 /// Where a request was ultimately served from.
@@ -167,9 +167,9 @@ pub fn resolve_route_in(
     )
 }
 
-/// [`resolve_route_in`] with telemetry: the fault-avoiding BFS fallback
-/// reports route counts and detour hop lengths through `rec` (see
-/// [`shortest_path_avoiding_links_recorded`]). The plain entry point
+/// [`resolve_route_in`] with telemetry: fault-view routing reports route
+/// counts and surviving-path hop lengths through `rec` (see
+/// [`surviving_hop_mix_recorded`]). The plain entry point
 /// passes a no-op recorder.
 #[allow(clippy::too_many_arguments)]
 pub fn resolve_route_in_recorded(
@@ -201,7 +201,7 @@ pub fn preferred_owner(
 
 /// Resolve the route toward an explicit `preferred` owner (rather than
 /// the one the object hashes to): §3.4 remapping, then hop mix on the
-/// healthy torus or the fault-avoiding BFS. The overload retry path uses
+/// healthy torus or the shortest surviving path. The overload retry path uses
 /// this to probe successive same-bucket replicas. `None` collapses both
 /// degraded outcomes; use [`classify_route_toward_recorded`] to tell a
 /// partition from a dead owner chain.
@@ -221,7 +221,7 @@ pub fn resolve_route_toward_recorded(
 /// outcome: `Routed`, `Partitioned` (live owner, no surviving path — a
 /// dead first contact counts, it is trivially disconnected), or
 /// `Unroutable` (owner chain dead). Telemetry recording is identical to
-/// the `Option` form — the BFS fallback runs exactly once either way.
+/// the `Option` form — the fault-view routing runs exactly once either way.
 pub fn classify_route_toward_recorded(
     grid: &GridTopology,
     failures: &FailureModel,
@@ -259,21 +259,22 @@ pub fn classify_route_toward_recorded(
         let intra = grid.slot_distance(first_contact.slot, owner.slot);
         RouteOutcome::Routed(ResolvedRoute { owner, intra, inter, remapped, extra_hops: 0 })
     } else {
-        let Some(path) = shortest_path_avoiding_links_recorded(
+        // Routing asks about a link only once both its ends passed
+        // `is_alive`, so the cut set alone decides `is_link_alive` there.
+        let Some((intra, inter)) = surviving_hop_mix_recorded(
             grid,
             first_contact,
             owner,
             |id| failures.is_alive(id),
-            |a, b| failures.is_link_alive(a, b),
+            |a, b| !failures.is_link_cut(a, b),
             rec,
         ) else {
-            // The owner is alive but BFS over the surviving grid found no
-            // path: first contact and owner are in different components.
+            // The owner is alive but no path survives between them: first
+            // contact and owner are in different components.
             return RouteOutcome::Partitioned { owner };
         };
-        let (intra, inter) = path.hop_mix();
         let extra_hops =
-            (path.len() as u16).saturating_sub(grid.hop_distance(first_contact, owner));
+            ((intra + inter) as u16).saturating_sub(grid.hop_distance(first_contact, owner));
         RouteOutcome::Routed(ResolvedRoute {
             owner,
             intra: intra as u16,
@@ -1381,6 +1382,97 @@ mod tests {
         for idx in 0..cdn.config().grid.total_slots() {
             let id = SatelliteId::from_index(idx, 18);
             assert!(cdn.cache_of(id).used_bytes() <= 500);
+        }
+    }
+
+    /// Reference for `classify_route_toward_recorded`: remap, then the
+    /// breadth-first search alone, with no staircase check in front.
+    fn bfs_only_route(
+        grid: &GridTopology,
+        failures: &FailureModel,
+        remap_on_failure: bool,
+        first_contact: SatelliteId,
+        preferred: SatelliteId,
+        rec: &dyn starcdn_telemetry::Recorder,
+    ) -> RouteOutcome {
+        let owner = match (remap_on_failure, failures.is_alive(preferred)) {
+            (true, _) => match failures.resolve_owner(grid, preferred) {
+                Some(o) => o,
+                None => return RouteOutcome::Unroutable,
+            },
+            (false, true) => preferred,
+            (false, false) => return RouteOutcome::Unroutable,
+        };
+        let remapped = owner != preferred;
+        if owner == first_contact {
+            let route = ResolvedRoute { owner, intra: 0, inter: 0, remapped, extra_hops: 0 };
+            return RouteOutcome::Routed(route);
+        }
+        let Some(path) = starcdn_constellation::routing::shortest_path_avoiding_links_recorded(
+            grid,
+            first_contact,
+            owner,
+            |id| failures.is_alive(id),
+            |a, b| failures.is_link_alive(a, b),
+            rec,
+        ) else {
+            return RouteOutcome::Partitioned { owner };
+        };
+        let (intra, inter) = path.hop_mix();
+        RouteOutcome::Routed(ResolvedRoute {
+            owner,
+            intra: intra as u16,
+            inter: inter as u16,
+            remapped,
+            extra_hops: path.len() as u16 - grid.hop_distance(first_contact, owner),
+        })
+    }
+
+    #[test]
+    fn fault_view_routes_match_bfs_only_reference() {
+        use starcdn_telemetry::MemoryRecorder;
+        let grid = GridTopology::starlink();
+        let tiling = BucketTiling::new(9).unwrap();
+        // §3.4's outage size, then a dense one that partitions the grid.
+        for (dead, seed) in [(126, 7), (126, 8), (650, 9)] {
+            let mut failures = FailureModel::sample(&grid, dead, seed);
+            for k in 0..438u16 {
+                let x = SatelliteId::new(k * 37 % 72, k * 11 % 18);
+                let d = starcdn_constellation::grid::Direction::ALL[usize::from(k % 4)];
+                let n = grid.neighbor(x, d).expect("the starlink grid is a torus");
+                failures.cut_link(x, n);
+            }
+            let dead_sats: Vec<SatelliteId> = failures.dead().take(8).collect();
+            for remap in [true, false] {
+                let (fast_rec, bfs_rec) = (MemoryRecorder::new(), MemoryRecorder::new());
+                let mut seen = [0usize; 5];
+                // Every fifth slot plus some dead ones as first contact;
+                // hashed owners plus dead ones (remapped) as preferred.
+                let contacts = grid.iter_ids().step_by(5).chain(dead_sats.iter().copied());
+                for fc in contacts {
+                    let hashed = (0..4u64).map(|o| {
+                        tiling.nearest_owner(&grid, fc, tiling.bucket_of_object(o * 0x9E37))
+                    });
+                    let far = SatelliteId::new((fc.orbit + 30) % 72, (fc.slot + 7) % 18);
+                    for preferred in hashed.chain([far, fc]).chain(dead_sats.iter().copied()) {
+                        let got = classify_route_toward_recorded(
+                            &grid, &failures, remap, fc, preferred, &fast_rec,
+                        );
+                        let want = bfs_only_route(&grid, &failures, remap, fc, preferred, &bfs_rec);
+                        assert_eq!(got, want, "{fc} -> {preferred} (remap {remap})");
+                        seen[match got {
+                            RouteOutcome::Routed(r) if r.extra_hops > 0 => 0,
+                            RouteOutcome::Routed(r) if r.remapped => 1,
+                            RouteOutcome::Routed(_) => 2,
+                            RouteOutcome::Partitioned { .. } => 3,
+                            RouteOutcome::Unroutable => 4,
+                        }] += 1;
+                    }
+                }
+                assert_eq!(fast_rec.snapshot(), bfs_rec.snapshot(), "telemetry must not move");
+                assert!(seen[0] > 0 && seen[2] > 0 && seen[3] > 0, "{seen:?}");
+                assert!(if remap { seen[1] > 0 } else { seen[4] > 0 }, "{seen:?}");
+            }
         }
     }
 }

@@ -37,7 +37,9 @@ pub enum Counter {
     FaultEventsApplied,
     /// Prefetch rounds executed at epoch boundaries.
     PrefetchRounds,
-    /// BFS shortest-path computations.
+    /// Fault-view route resolutions: shortest surviving paths computed
+    /// while any satellite or link is down, by the staircase check or the
+    /// breadth-first search behind it.
     BfsRoutes,
     /// Admission attempts refused by the capacity ledger.
     RequestsShed,
@@ -161,7 +163,8 @@ pub enum Histo {
     QueueDepth,
     /// One-way user↔satellite propagation delay, microseconds.
     GslDelayUs,
-    /// Hop count of BFS-computed detour paths.
+    /// Hop count of the shortest surviving path found by each fault-view
+    /// route resolution (see [`Counter::BfsRoutes`]).
     BfsPathHops,
     /// Retry attempts consumed per request under overload (0 = admitted
     /// first try).
