@@ -3,10 +3,11 @@
 //! Used as the simplest baseline policy and as a reference point for
 //! SIEVE (which degenerates to FIFO when no object is re-accessed).
 
+use crate::idhash::IdMap;
 use crate::object::ObjectId;
 use crate::policy::{AccessOutcome, Cache};
 use crate::state::{checked_total, CacheState, StateError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// A FIFO cache with byte capacity.
 #[derive(Debug)]
@@ -14,7 +15,7 @@ pub struct FifoCache {
     capacity: u64,
     used: u64,
     queue: VecDeque<ObjectId>,
-    index: HashMap<ObjectId, u64>,
+    index: IdMap<ObjectId, u64>,
 }
 
 impl FifoCache {
@@ -24,7 +25,7 @@ impl FifoCache {
             capacity: capacity_bytes,
             used: 0,
             queue: VecDeque::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
         }
     }
 

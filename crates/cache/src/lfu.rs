@@ -4,10 +4,11 @@
 //! equally-frequent objects, the least recently used goes first.
 //! O(log n) per operation via an ordered victim set.
 
+use crate::idhash::IdMap;
 use crate::object::ObjectId;
 use crate::policy::{AccessOutcome, Cache};
 use crate::state::{CacheState, LfuEntryState, StateError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -23,7 +24,7 @@ pub struct LfuCache {
     capacity: u64,
     used: u64,
     clock: u64,
-    index: HashMap<ObjectId, Entry>,
+    index: IdMap<ObjectId, Entry>,
     /// Victim order: (freq, last_touch, id) ascending.
     order: BTreeSet<(u64, u64, ObjectId)>,
 }
@@ -35,7 +36,7 @@ impl LfuCache {
             capacity: capacity_bytes,
             used: 0,
             clock: 0,
-            index: HashMap::new(),
+            index: IdMap::default(),
             order: BTreeSet::new(),
         }
     }

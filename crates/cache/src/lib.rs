@@ -19,6 +19,7 @@
 //! ```
 
 pub mod fifo;
+pub mod idhash;
 pub mod inflight;
 pub mod lfu;
 pub mod lru;
@@ -32,6 +33,7 @@ pub mod state;
 pub mod stats;
 pub mod tinylfu;
 
+pub use idhash::{BuildIdHasher, IdMap};
 pub use inflight::{InflightQueue, InflightState, RetiredFetch};
 pub use object::ObjectId;
 pub use policy::{AccessOutcome, Cache, PolicyKind};

@@ -4,10 +4,11 @@
 //! O(1) per operation: a slab-backed doubly linked recency list plus a
 //! hash index. The slab (`LinkedSlab`) is shared with the SIEVE policy.
 
+use crate::idhash::IdMap;
 use crate::object::ObjectId;
 use crate::policy::{AccessOutcome, Cache};
 use crate::state::{checked_total, CacheState, StateError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A doubly-linked list of `(ObjectId, size)` nodes stored in a slab,
 /// with O(1) push-front / unlink / pop-back. `usize::MAX` is the nil link.
@@ -135,7 +136,7 @@ pub struct LruCache {
     capacity: u64,
     used: u64,
     list: LinkedSlab,
-    index: HashMap<ObjectId, usize>,
+    index: IdMap<ObjectId, usize>,
 }
 
 impl LruCache {
@@ -145,7 +146,7 @@ impl LruCache {
             capacity: capacity_bytes,
             used: 0,
             list: LinkedSlab::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
         }
     }
 

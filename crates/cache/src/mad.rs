@@ -24,10 +24,11 @@
 //! the `(priority, last_touch)` order degenerates to exact LRU, which
 //! makes the zero-latency byte-identity gate easy to reason about.
 
+use crate::idhash::IdMap;
 use crate::object::ObjectId;
 use crate::policy::{AccessOutcome, Cache};
 use crate::state::{CacheState, MadEntryState, StateError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Fixed-point scale for the cost density: priorities advance in units
 /// of `delay * CREDIT_SCALE / size`, so a kilobyte-sized object at the
@@ -69,7 +70,7 @@ pub struct MadCache {
     /// GreedyDual inflation floor: the priority of the last victim.
     /// Monotone non-decreasing; every live priority is `>=` it.
     inflation: u64,
-    index: HashMap<ObjectId, Entry>,
+    index: IdMap<ObjectId, Entry>,
     /// Victim order: (priority, last_touch, id) ascending.
     order: BTreeSet<(u64, u64, ObjectId)>,
 }
@@ -82,7 +83,7 @@ impl MadCache {
             used: 0,
             clock: 0,
             inflation: 0,
-            index: HashMap::new(),
+            index: IdMap::default(),
             order: BTreeSet::new(),
         }
     }

@@ -16,11 +16,7 @@ pub struct ObjectId(pub u64);
 impl ObjectId {
     /// A well-mixed 64-bit hash of the id, suitable for bucket selection.
     pub fn hash64(self) -> u64 {
-        // splitmix64 finalizer.
-        let mut x = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        crate::idhash::splitmix64(self.0)
     }
 }
 

@@ -7,11 +7,11 @@
 //! bit — no list movement — making SIEVE both simpler and often more
 //! effective than LRU for web workloads.
 
+use crate::idhash::IdMap;
 use crate::lru::{LinkedSlab, NIL};
 use crate::object::ObjectId;
 use crate::policy::{AccessOutcome, Cache};
 use crate::state::{CacheState, SieveEntryState, StateError};
-use std::collections::HashMap;
 
 /// A SIEVE cache with byte capacity.
 #[derive(Debug)]
@@ -19,7 +19,7 @@ pub struct SieveCache {
     capacity: u64,
     used: u64,
     list: LinkedSlab,
-    index: HashMap<ObjectId, usize>,
+    index: IdMap<ObjectId, usize>,
     /// The sweep hand: a node index, or NIL (start from the tail).
     hand: usize,
 }
@@ -31,7 +31,7 @@ impl SieveCache {
             capacity: capacity_bytes,
             used: 0,
             list: LinkedSlab::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             hand: NIL,
         }
     }

@@ -8,11 +8,12 @@
 //! to probation's head. One-hit wonders thus never displace proven
 //! content — the scan-resistance plain LRU lacks.
 
+use crate::idhash::IdMap;
 use crate::lru::{LinkedSlab, NIL};
 use crate::object::ObjectId;
 use crate::policy::{AccessOutcome, Cache};
 use crate::state::{checked_total, CacheState, StateError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
@@ -30,7 +31,7 @@ pub struct SlruCache {
     used_protected: u64,
     probation: LinkedSlab,
     protected: LinkedSlab,
-    index: HashMap<ObjectId, (Segment, usize)>,
+    index: IdMap<ObjectId, (Segment, usize)>,
 }
 
 impl SlruCache {
@@ -49,7 +50,7 @@ impl SlruCache {
             used_protected: 0,
             probation: LinkedSlab::new(),
             protected: LinkedSlab::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
         }
     }
 

@@ -5,6 +5,14 @@
 //! every bucket is reachable within `2⌊√L/2⌋` hops (§3.2; the paper notes
 //! this bound is identical for L = 4 and L = 9, which is why L = 9's
 //! consistent-hash routing adds no latency over L = 4).
+//!
+//! The nearest owner of a bucket depends only on the first-contact slot
+//! and the bucket, and the grid is fixed for a run, so the serve path
+//! never computes it per request: [`OwnerTable`] tabulates
+//! [`BucketTiling::nearest_owner`] once per fleet (`slots × L` entries,
+//! 46 KB at 1296 slots and L = 9) and a lookup is one index.
+//! `nearest_owner` stays the definition: it builds the table and is the
+//! oracle the table is tested against.
 
 use crate::grid::GridTopology;
 use serde::{Deserialize, Serialize};
@@ -19,6 +27,9 @@ pub struct BucketId(pub u32);
 pub enum TilingError {
     /// `L` must be a positive perfect square so a √L×√L tile exists.
     NotPerfectSquare(u32),
+    /// The √L tile edge exceeds a grid axis, so some bucket has no owner
+    /// on that grid.
+    TileExceedsGrid { root: u32, num_planes: u16, sats_per_plane: u16 },
 }
 
 impl std::fmt::Display for TilingError {
@@ -26,6 +37,9 @@ impl std::fmt::Display for TilingError {
         match self {
             TilingError::NotPerfectSquare(l) => {
                 write!(f, "bucket count {l} is not a positive perfect square")
+            }
+            TilingError::TileExceedsGrid { root, num_planes, sats_per_plane } => {
+                write!(f, "bucket tile edge {root} exceeds the {num_planes}x{sats_per_plane} grid")
             }
         }
     }
@@ -102,6 +116,61 @@ impl BucketTiling {
         let slot =
             nearest_with_residue(from.slot, want_slot_mod, self.root as u16, grid.sats_per_plane);
         SatelliteId::new(plane, slot)
+    }
+}
+
+/// Every satellite's nearest owner of every bucket on one grid: the
+/// dense `(first-contact slot, bucket) → owner` table behind the serve
+/// path's preferred-owner lookup. Built once per fleet from
+/// [`BucketTiling::nearest_owner`], so a lookup returns exactly what that
+/// scan would.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OwnerTable {
+    tiling: BucketTiling,
+    num_planes: u16,
+    sats_per_plane: u16,
+    /// Row-major by slot index (`SatelliteId::index`), `L` owners a row.
+    owners: Box<[SatelliteId]>,
+}
+
+impl OwnerTable {
+    /// Tabulate `tiling` over `grid`. Fails when the tile edge exceeds a
+    /// grid axis (some bucket would have no owner at all).
+    pub fn new(grid: &GridTopology, tiling: BucketTiling) -> Result<Self, TilingError> {
+        if tiling.root > grid.num_planes as u32 || tiling.root > grid.sats_per_plane as u32 {
+            return Err(TilingError::TileExceedsGrid {
+                root: tiling.root,
+                num_planes: grid.num_planes,
+                sats_per_plane: grid.sats_per_plane,
+            });
+        }
+        let owners = grid
+            .iter_ids()
+            .flat_map(|from| {
+                (0..tiling.num_buckets).map(move |b| tiling.nearest_owner(grid, from, BucketId(b)))
+            })
+            .collect();
+        Ok(OwnerTable {
+            tiling,
+            num_planes: grid.num_planes,
+            sats_per_plane: grid.sats_per_plane,
+            owners,
+        })
+    }
+
+    /// The tiling this table was built from.
+    pub fn tiling(&self) -> &BucketTiling {
+        &self.tiling
+    }
+
+    /// The nearest owner of `bucket` from `from`, which must be a slot of
+    /// the grid the table was built for.
+    #[inline]
+    pub fn owner(&self, from: SatelliteId, bucket: BucketId) -> SatelliteId {
+        debug_assert!(from.orbit < self.num_planes && from.slot < self.sats_per_plane);
+        debug_assert!(bucket.0 < self.tiling.num_buckets);
+        let row = from.index(self.sats_per_plane) * self.tiling.num_buckets as usize;
+        self.owners[row + bucket.0 as usize]
     }
 }
 
@@ -217,6 +286,49 @@ mod tests {
         let t = BucketTiling::new(9).unwrap();
         let id = SatelliteId::new(13, 7);
         assert_eq!(t.nearest_owner(&g, id, t.bucket_of_sat(id)), id);
+    }
+
+    #[test]
+    fn owner_table_matches_nearest_owner_everywhere() {
+        // Every slot × bucket, on the paper's grid and on small grids
+        // whose axes √L does not divide (so the wrap seam breaks the tile
+        // pattern), with and without the east-west seam.
+        let mut grids = vec![grid()];
+        for (num_planes, sats_per_plane) in [(7u16, 6u16), (5, 7), (13, 9), (6, 5)] {
+            for seamless in [true, false] {
+                grids.push(GridTopology { num_planes, sats_per_plane, seamless });
+            }
+        }
+        for g in &grids {
+            for l in [1u32, 4, 9, 16, 25] {
+                let t = BucketTiling::new(l).unwrap();
+                let table = OwnerTable::new(g, t).unwrap();
+                assert_eq!(table.tiling(), &t);
+                for from in g.iter_ids() {
+                    for b in 0..l {
+                        let want = t.nearest_owner(g, from, BucketId(b));
+                        assert_eq!(
+                            table.owner(from, BucketId(b)),
+                            want,
+                            "{g:?} L={l} {from} b={b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owner_table_rejects_tiles_larger_than_the_grid() {
+        let g = GridTopology { num_planes: 4, sats_per_plane: 6, seamless: true };
+        let t = BucketTiling::new(25).unwrap();
+        assert_eq!(
+            OwnerTable::new(&g, t),
+            Err(TilingError::TileExceedsGrid { root: 5, num_planes: 4, sats_per_plane: 6 })
+        );
+        let g = GridTopology { num_planes: 6, sats_per_plane: 4, seamless: false };
+        assert!(OwnerTable::new(&g, t).is_err());
+        assert!(OwnerTable::new(&g, BucketTiling::new(16).unwrap()).is_ok());
     }
 
     proptest! {

@@ -112,9 +112,12 @@ pub struct CapacityLedger {
     gsl_budget: u64,
     intra_budget: u64,
     inter_budget: u64,
-    /// Usable fraction of each budget. Finite by construction: an
-    /// infinite headroom means "don't build a ledger at all".
-    headroom: f64,
+    /// Usable bytes of each budget, `raw × headroom`, computed once. The
+    /// headroom is finite by construction: an infinite headroom means
+    /// "don't build a ledger at all".
+    gsl_limit: u64,
+    intra_limit: u64,
+    inter_limit: u64,
     /// In-flight epochs (current plus backoff targets), by epoch index.
     epochs: BTreeMap<u64, EpochUsage>,
 }
@@ -137,19 +140,20 @@ impl CapacityLedger {
             "capacity ledger needs a finite positive headroom (got {headroom}); \
              infinite headroom means capacity enforcement is disabled"
         );
+        let gsl_budget = epoch_budget_bytes(link.gsl.bandwidth_gbps, epoch_secs);
+        let intra_budget = epoch_budget_bytes(link.intra_orbit.bandwidth_gbps, epoch_secs);
+        let inter_budget = epoch_budget_bytes(link.inter_orbit.bandwidth_gbps, epoch_secs);
+        let limit = |raw: u64| (raw as f64 * headroom) as u64;
         CapacityLedger {
             grid: grid.clone(),
-            gsl_budget: epoch_budget_bytes(link.gsl.bandwidth_gbps, epoch_secs),
-            intra_budget: epoch_budget_bytes(link.intra_orbit.bandwidth_gbps, epoch_secs),
-            inter_budget: epoch_budget_bytes(link.inter_orbit.bandwidth_gbps, epoch_secs),
-            headroom,
+            gsl_budget,
+            intra_budget,
+            inter_budget,
+            gsl_limit: limit(gsl_budget),
+            intra_limit: limit(intra_budget),
+            inter_limit: limit(inter_budget),
             epochs: BTreeMap::new(),
         }
-    }
-
-    /// The usable byte limit of a raw budget under the headroom.
-    fn limit(&self, raw: u64) -> u64 {
-        (raw as f64 * self.headroom) as u64
     }
 
     fn budget_of(&self, kind: IslKind) -> u64 {
@@ -223,22 +227,20 @@ impl CapacityLedger {
         // Check phase (no mutation): GSL first, then each hop.
         let usage = self.epochs.entry(epoch).or_default();
         let gsl_key = owner.index(spp) as u32;
-        if usage.gsl_used.get(&gsl_key).copied().unwrap_or(0) + bytes
-            > (self.gsl_budget as f64 * self.headroom) as u64
-        {
+        if usage.gsl_used.get(&gsl_key).copied().unwrap_or(0) + bytes > self.gsl_limit {
             usage.shed += 1;
             return AdmitDecision::Shed(ShedReason::GslSaturated);
         }
         let mut over_isl = false;
         for_each_canonical_hop(&self.grid, first_contact, owner, |a, b, kind| {
             let key = link_key(a, b, spp);
-            let raw = match kind {
-                IslKind::IntraOrbit => self.intra_budget,
-                IslKind::InterOrbit => self.inter_budget,
-                IslKind::Gsl => self.gsl_budget,
+            let limit = match kind {
+                IslKind::IntraOrbit => self.intra_limit,
+                IslKind::InterOrbit => self.inter_limit,
+                IslKind::Gsl => self.gsl_limit,
             };
             let used = usage.isl_used.get(&key).copied().unwrap_or(0);
-            if used + bytes > (raw as f64 * self.headroom) as u64 {
+            if used + bytes > limit {
                 over_isl = true;
             }
         });
@@ -263,7 +265,7 @@ impl CapacityLedger {
         bytes: u64,
     ) -> AdmitDecision {
         let spp = self.grid.sats_per_plane;
-        let limit = self.limit(self.gsl_budget);
+        let limit = self.gsl_limit;
         let usage = self.epochs.entry(epoch).or_default();
         let key = first_contact.index(spp) as u32;
         let used = usage.gsl_used.entry(key).or_insert(0);

@@ -29,7 +29,7 @@ pub mod isl;
 pub mod routing;
 pub mod schedule;
 
-pub use buckets::{BucketId, BucketTiling};
+pub use buckets::{BucketId, BucketTiling, OwnerTable};
 pub use capacity::{AdmitDecision, CapacityLedger, ShedReason, UtilizationPoint};
 pub use failures::{link_id, FailureModel, LinkId};
 pub use grid::GridTopology;

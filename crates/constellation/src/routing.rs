@@ -7,6 +7,12 @@
 //! surviving path: it first checks whether some staircase survives (then
 //! the healthy-torus distance still holds) and only otherwise runs a
 //! breadth-first search over the surviving grid.
+//!
+//! Routing starts from a known owner. Which satellite owns a request's
+//! bucket is a table lookup (`buckets::OwnerTable`, built once per
+//! fleet), so the per-request cost here is the hop mix alone: two wrap
+//! distances on the healthy torus, the staircase check (rarely the
+//! search) under faults.
 
 use crate::grid::{Direction, GridTopology};
 use crate::isl::{IslKind, LinkModel};

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use starcdn_cache::policy::PolicyKind;
+use starcdn_constellation::buckets::{BucketTiling, OwnerTable};
 use starcdn_constellation::grid::GridTopology;
 use starcdn_constellation::isl::LinkModel;
 
@@ -211,6 +212,17 @@ impl StarCdnConfig {
             Some(l) => (l as f64).sqrt().round() as u16,
             None => 1,
         }
+    }
+
+    /// The preferred-owner table for this fleet's bucket tiling, `None`
+    /// without hashing. Panics on a bucket count that cannot tile the
+    /// grid (not a perfect square, or a tile wider than an axis).
+    pub fn owner_table(&self) -> Option<OwnerTable> {
+        self.num_buckets.map(|l| {
+            BucketTiling::new(l)
+                .and_then(|t| OwnerTable::new(&self.grid, t))
+                .unwrap_or_else(|e| panic!("invalid bucket count {l}: {e}"))
+        })
     }
 }
 

@@ -5,6 +5,7 @@
 use crate::latency::LatencyCdf;
 use crate::system::ServedFrom;
 use serde::{Deserialize, Serialize};
+use starcdn_cache::idhash::BuildIdHasher;
 use starcdn_cache::policy::AccessOutcome;
 use starcdn_cache::stats::CacheStats;
 use starcdn_orbit::walker::SatelliteId;
@@ -94,8 +95,10 @@ pub struct SystemMetrics {
     pub prefetch_copies: u64,
     /// Raw latency samples, ms.
     pub latencies_ms: Vec<f64>,
-    /// Per-owner-satellite hit statistics (Fig. 11 grouping).
-    pub per_satellite: HashMap<SatelliteId, CacheStats>,
+    /// Per-owner-satellite hit statistics (Fig. 11 grouping). Upserted
+    /// on every request, so keyed with the deterministic id hasher;
+    /// every export sorts by satellite.
+    pub per_satellite: HashMap<SatelliteId, CacheStats, BuildIdHasher>,
     /// Table-3 monitor (populated when `probe_neighbors_on_miss` is on).
     pub neighbor_availability: NeighborAvailability,
     /// Requests whose preferred bucket owner was dead and that were

@@ -16,6 +16,59 @@ use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
 use starcdn_orbit::walker::SatelliteId;
 
+/// One relay candidate: the serve-source tag and the satellite probed.
+pub type RelayCandidate = (ServedFrom, SatelliteId);
+
+/// The (at most two) relay candidates of one miss, in probe order. A
+/// fixed two-slot value, so choosing candidates never allocates; it
+/// derefs to a slice and iterates by value.
+#[derive(Clone, Copy)]
+pub struct RelayCandidates {
+    items: [RelayCandidate; 2],
+    len: usize,
+}
+
+impl RelayCandidates {
+    const EMPTY: RelayCandidates = RelayCandidates {
+        items: [(ServedFrom::Ground, SatelliteId { orbit: 0, slot: 0 }); 2],
+        len: 0,
+    };
+
+    fn push(&mut self, c: RelayCandidate) {
+        self.items[self.len] = c;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for RelayCandidates {
+    type Target = [RelayCandidate];
+
+    fn deref(&self) -> &[RelayCandidate] {
+        &self.items[..self.len]
+    }
+}
+
+impl IntoIterator for RelayCandidates {
+    type Item = RelayCandidate;
+    type IntoIter = std::iter::Take<std::array::IntoIter<RelayCandidate, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len)
+    }
+}
+
+impl std::fmt::Debug for RelayCandidates {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<Vec<RelayCandidate>> for RelayCandidates {
+    fn eq(&self, other: &Vec<RelayCandidate>) -> bool {
+        **self == other[..]
+    }
+}
+
 /// The neighbours a miss at `owner` may relay to, in probe order
 /// (west first — the historically-useful direction — then east).
 ///
@@ -28,8 +81,8 @@ pub fn relay_candidates(
     span_planes: u16,
     policy: RelayPolicy,
     failures: &FailureModel,
-) -> Vec<(ServedFrom, SatelliteId)> {
-    let mut out = Vec::with_capacity(2);
+) -> RelayCandidates {
+    let mut out = RelayCandidates::EMPTY;
     let mut push = |tag: ServedFrom, slot: SatelliteId| {
         if let Some(resolved) = failures.resolve_owner(grid, slot) {
             if resolved != owner && !out.iter().any(|&(_, s)| s == resolved) {

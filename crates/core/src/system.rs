@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use starcdn_cache::object::ObjectId;
 use starcdn_cache::policy::{AccessOutcome, Cache};
 use starcdn_cache::{InflightQueue, InflightState};
-use starcdn_constellation::buckets::BucketTiling;
+use starcdn_constellation::buckets::{BucketTiling, OwnerTable};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
 use starcdn_constellation::routing::surviving_hop_mix_recorded;
@@ -133,14 +133,14 @@ impl RouteOutcome {
 #[allow(clippy::too_many_arguments)]
 pub fn classify_route_in_recorded(
     grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
+    owners: Option<&OwnerTable>,
     failures: &FailureModel,
     remap_on_failure: bool,
     first_contact: SatelliteId,
     object: ObjectId,
     rec: &dyn starcdn_telemetry::Recorder,
 ) -> RouteOutcome {
-    let preferred = preferred_owner(grid, tiling, first_contact, object);
+    let preferred = preferred_owner(owners, first_contact, object);
     classify_route_toward_recorded(grid, failures, remap_on_failure, first_contact, preferred, rec)
 }
 
@@ -150,7 +150,7 @@ pub fn classify_route_in_recorded(
 /// without rebuilding a [`SpaceCdn`] (and its per-slot caches) per epoch.
 pub fn resolve_route_in(
     grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
+    owners: Option<&OwnerTable>,
     failures: &FailureModel,
     remap_on_failure: bool,
     first_contact: SatelliteId,
@@ -158,7 +158,7 @@ pub fn resolve_route_in(
 ) -> Option<ResolvedRoute> {
     resolve_route_in_recorded(
         grid,
-        tiling,
+        owners,
         failures,
         remap_on_failure,
         first_contact,
@@ -174,27 +174,28 @@ pub fn resolve_route_in(
 #[allow(clippy::too_many_arguments)]
 pub fn resolve_route_in_recorded(
     grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
+    owners: Option<&OwnerTable>,
     failures: &FailureModel,
     remap_on_failure: bool,
     first_contact: SatelliteId,
     object: ObjectId,
     rec: &dyn starcdn_telemetry::Recorder,
 ) -> Option<ResolvedRoute> {
-    let preferred = preferred_owner(grid, tiling, first_contact, object);
+    let preferred = preferred_owner(owners, first_contact, object);
     resolve_route_toward_recorded(grid, failures, remap_on_failure, first_contact, preferred, rec)
 }
 
-/// The owner `object` hashes to under the tiling (the first contact
-/// itself without hashing), before any failure remapping.
+/// The owner `object` hashes to under the fleet's bucket tiling (the
+/// first contact itself without hashing), before any failure remapping:
+/// one lookup in the fleet's [`OwnerTable`]. `first_contact` must be a
+/// slot of the grid the table was built for.
 pub fn preferred_owner(
-    grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
+    owners: Option<&OwnerTable>,
     first_contact: SatelliteId,
     object: ObjectId,
 ) -> SatelliteId {
-    match tiling {
-        Some(t) => t.nearest_owner(grid, first_contact, t.bucket_of_object(object.hash64())),
+    match owners {
+        Some(t) => t.owner(first_contact, t.tiling().bucket_of_object(object.hash64())),
         None => first_contact,
     }
 }
@@ -288,7 +289,8 @@ pub fn classify_route_toward_recorded(
 /// The satellite CDN fleet.
 pub struct SpaceCdn {
     cfg: StarCdnConfig,
-    tiling: Option<BucketTiling>,
+    /// Preferred owner per (first contact, bucket); `None` without hashing.
+    owners: Option<OwnerTable>,
     failures: FailureModel,
     caches: Vec<Box<dyn Cache + Send>>,
     /// Per-slot cold-restart flag: set when a satellite recovers from an
@@ -314,9 +316,7 @@ impl SpaceCdn {
     /// Build the fleet with an outage set; bucket responsibilities of
     /// dead satellites are remapped per §3.4.
     pub fn with_failures(cfg: StarCdnConfig, failures: FailureModel) -> Self {
-        let tiling = cfg.num_buckets.map(|l| {
-            BucketTiling::new(l).unwrap_or_else(|e| panic!("invalid bucket count {l}: {e}"))
-        });
+        let owners = cfg.owner_table();
         let caches = (0..cfg.grid.total_slots())
             .map(|_| cfg.policy.build(cfg.cache_capacity_bytes))
             .collect();
@@ -325,7 +325,7 @@ impl SpaceCdn {
         let inflight = (0..cfg.grid.total_slots()).map(|_| InflightQueue::new()).collect();
         SpaceCdn {
             cfg,
-            tiling,
+            owners,
             failures,
             caches,
             cold,
@@ -370,7 +370,12 @@ impl SpaceCdn {
 
     /// The bucket tiling, when hashing is enabled.
     pub fn tiling(&self) -> Option<&BucketTiling> {
-        self.tiling.as_ref()
+        self.owners.as_ref().map(OwnerTable::tiling)
+    }
+
+    /// The fleet's preferred-owner table, when hashing is enabled.
+    pub fn owner_table(&self) -> Option<&OwnerTable> {
+        self.owners.as_ref()
     }
 
     fn cache_idx(&self, id: SatelliteId) -> usize {
@@ -392,7 +397,7 @@ impl SpaceCdn {
     ) -> Option<ResolvedRoute> {
         resolve_route_in(
             &self.cfg.grid,
-            self.tiling.as_ref(),
+            self.owners.as_ref(),
             &self.failures,
             self.cfg.remap_on_failure,
             first_contact,
@@ -405,7 +410,7 @@ impl SpaceCdn {
     pub fn classify_route(&self, first_contact: SatelliteId, object: ObjectId) -> RouteOutcome {
         classify_route_in_recorded(
             &self.cfg.grid,
-            self.tiling.as_ref(),
+            self.owners.as_ref(),
             &self.failures,
             self.cfg.remap_on_failure,
             first_contact,
@@ -1353,6 +1358,51 @@ mod tests {
                     + cdn.metrics.served_relay_east
                     + cdn.metrics.served_ground;
                 prop_assert_eq!(served, cdn.metrics.stats.requests);
+            }
+
+            #[test]
+            fn prop_classify_route_matches_nearest_owner_reference(
+                l_idx in 0usize..6,
+                dead in 0usize..700,
+                seed in 0u64..1_000,
+                cuts in 0u16..500,
+                remap in 0u8..2,
+                reqs in proptest::collection::vec((0u16..72, 0u16..18, any::<u64>()), 1..200),
+            ) {
+                // The owner table against its definition: the fleet's
+                // `classify_route` equals `nearest_owner` (the first
+                // contact itself without hashing) fed to the fault-view
+                // classifier, under random outages and cut links.
+                let grid = GridTopology::starlink();
+                let mut cfg = match [1u32, 4, 9, 16, 25].get(l_idx) {
+                    Some(&l) => StarCdnConfig::starcdn(l, CAP),
+                    None => StarCdnConfig::naive_lru(CAP),
+                };
+                cfg.remap_on_failure = remap == 1;
+                let tiling = cfg.num_buckets.map(|l| BucketTiling::new(l).unwrap());
+                let mut failures = FailureModel::sample(&grid, dead, seed);
+                for k in 0..cuts {
+                    let x = SatelliteId::new(
+                        (k as u64 * 37 + seed) as u16 % 72,
+                        (k as u64 * 11 + seed / 7) as u16 % 18,
+                    );
+                    let d = starcdn_constellation::grid::Direction::ALL[usize::from(k % 4)];
+                    failures.cut_link(x, grid.neighbor(x, d).expect("torus"));
+                }
+                let cdn = SpaceCdn::with_failures(cfg.clone(), failures.clone());
+                for (o, s, obj) in reqs {
+                    let (fc, object) = (SatelliteId::new(o, s), ObjectId(obj));
+                    let preferred = match &tiling {
+                        Some(t) => t.nearest_owner(&grid, fc, t.bucket_of_object(object.hash64())),
+                        None => fc,
+                    };
+                    let want = classify_route_toward_recorded(
+                        &grid, &failures, cfg.remap_on_failure, fc, preferred,
+                        &starcdn_telemetry::Noop,
+                    );
+                    prop_assert_eq!(cdn.classify_route(fc, object), want);
+                    prop_assert_eq!(cdn.resolve_route(fc, object), want.routed());
+                }
             }
 
             #[test]

@@ -637,7 +637,7 @@ pub(crate) fn get_metrics(r: &mut ByteReader) -> Result<SystemMetrics, Checkpoin
         latencies_ms.push(r.f64_bits()?);
     }
     let ns = r.len()?;
-    let mut per_satellite = HashMap::with_capacity(ns);
+    let mut per_satellite = HashMap::with_capacity_and_hasher(ns, Default::default());
     for _ in 0..ns {
         let s = get_sat(r)?;
         per_satellite.insert(s, get_stats(r)?);

@@ -464,7 +464,7 @@ impl<'a> Drive<'a> {
                 Some((led, overload)) => {
                     let lifecycle = crate::overload::decide(
                         &cdn.config().grid,
-                        cdn.tiling(),
+                        cdn.owner_table(),
                         cdn.failures(),
                         cdn.config().remap_on_failure,
                         span_planes,

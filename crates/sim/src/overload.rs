@@ -29,7 +29,7 @@ use starcdn::system::{
     classify_route_toward_recorded, preferred_owner, ResolvedRoute, RouteOutcome,
 };
 use starcdn_cache::object::ObjectId;
-use starcdn_constellation::buckets::BucketTiling;
+use starcdn_constellation::buckets::OwnerTable;
 use starcdn_constellation::capacity::{AdmitDecision, CapacityLedger};
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::grid::GridTopology;
@@ -140,7 +140,7 @@ impl LifecycleOutcome {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide(
     grid: &GridTopology,
-    tiling: Option<&BucketTiling>,
+    owners: Option<&OwnerTable>,
     view: &FailureModel,
     remap_on_failure: bool,
     replica_span: u16,
@@ -154,7 +154,7 @@ pub(crate) fn decide(
     cfg: &OverloadConfig,
     rec: &dyn Recorder,
 ) -> LifecycleOutcome {
-    let preferred = preferred_owner(grid, tiling, first_contact, object);
+    let preferred = preferred_owner(owners, first_contact, object);
     let policy = &cfg.retry;
     let backoff_wait_ms = policy.backoff_epochs as f64 * epoch_ms;
     let max_attempts = policy.max_attempts.max(1);
@@ -262,10 +262,10 @@ mod tests {
         object: u64,
         size: u64,
     ) -> LifecycleOutcome {
-        let tiling = cfg.num_buckets.map(|l| BucketTiling::new(l).unwrap());
+        let owners = cfg.owner_table();
         decide(
             &cfg.grid,
-            tiling.as_ref(),
+            owners.as_ref(),
             view,
             cfg.remap_on_failure,
             cfg.relay_span_planes(),
@@ -287,10 +287,10 @@ mod tests {
     /// (10, 5): the route has real ISL hops, so a shed probe costs
     /// latency and the fallback GSL is distinct from the primary's.
     fn remote_object(cfg: &StarCdnConfig) -> u64 {
-        let tiling = cfg.num_buckets.map(|l| BucketTiling::new(l).unwrap());
+        let owners = cfg.owner_table();
         let fc = SatelliteId::new(10, 5);
         (0..64)
-            .find(|&o| preferred_owner(&cfg.grid, tiling.as_ref(), fc, ObjectId(o)) != fc)
+            .find(|&o| preferred_owner(owners.as_ref(), fc, ObjectId(o)) != fc)
             .expect("some bucket must live off the first contact")
     }
 
@@ -424,9 +424,9 @@ mod tests {
         let ocfg = OverloadConfig::with_headroom(1.0);
         // Owner on a different slot: no east-shifted retry replica can
         // coincide with the first contact (east_by preserves the slot).
-        let tiling = cfg.num_buckets.map(|l| BucketTiling::new(l).unwrap());
+        let owners = cfg.owner_table();
         let obj = (0..64)
-            .find(|&o| preferred_owner(&cfg.grid, tiling.as_ref(), fc, ObjectId(o)).slot != fc.slot)
+            .find(|&o| preferred_owner(owners.as_ref(), fc, ObjectId(o)).slot != fc.slot)
             .expect("some bucket owner must sit off the first contact's slot");
         let out = run_decide(&cfg, &latency, &view, &mut ledger, &ocfg, obj, 1000);
         assert!(matches!(out.decision, Decision::OriginFallback { .. }), "{out:?}");

@@ -51,7 +51,6 @@ use starcdn::relay::relay_candidates;
 use starcdn::system::{classify_route_in_recorded, RouteOutcome, ServeOutcome, ServedFrom};
 use starcdn_cache::policy::{AccessOutcome, Cache};
 use starcdn_cache::InflightQueue;
-use starcdn_constellation::buckets::BucketTiling;
 use starcdn_constellation::failures::FailureModel;
 use starcdn_constellation::schedule::{FaultSchedule, ScheduleCursor};
 use starcdn_telemetry::{
@@ -315,9 +314,7 @@ pub(crate) fn prepare_shards(
     overload: Option<&crate::overload::OverloadConfig>,
     barrier_every: Option<u64>,
 ) -> PrePass {
-    let tiling = cfg
-        .num_buckets
-        .map(|l| BucketTiling::new(l).unwrap_or_else(|e| panic!("invalid bucket count {l}: {e}")));
+    let owners = cfg.owner_table();
     let latency = LatencyModel { link: cfg.link_model.clone(), ..LatencyModel::default() };
     let spp = cfg.grid.sats_per_plane;
     let span = cfg.relay_span_planes();
@@ -421,7 +418,7 @@ pub(crate) fn prepare_shards(
             (Some(l), Some(ocfg)) => {
                 let lc = crate::overload::decide(
                     &cfg.grid,
-                    tiling.as_ref(),
+                    owners.as_ref(),
                     view,
                     cfg.remap_on_failure,
                     span,
@@ -461,7 +458,7 @@ pub(crate) fn prepare_shards(
             }
             _ => match classify_route_in_recorded(
                 &cfg.grid,
-                tiling.as_ref(),
+                owners.as_ref(),
                 view,
                 cfg.remap_on_failure,
                 fc,

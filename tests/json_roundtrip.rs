@@ -220,6 +220,29 @@ fn derive_shape_matrix_roundtrips() {
 }
 
 #[test]
+fn fixed_hasher_map_roundtrips() {
+    // Maps keyed with the simulator's deterministic id hasher serialize
+    // like any `HashMap` (sorted keys) and come back with that hasher.
+    let mut map: starcdn_cache::IdMap<u64, String> = starcdn_cache::IdMap::default();
+    for k in [300u64, 5, u64::MAX, 0] {
+        map.insert(k, format!("v{k}"));
+    }
+    let json = serde_json::to_string(&map).unwrap();
+    assert_eq!(
+        json,
+        format!(
+            "{{\"0\":\"v0\",\"18446744073709551615\":\"v{}\",\"300\":\"v300\",\"5\":\"v5\"}}",
+            u64::MAX
+        )
+    );
+    let back: starcdn_cache::IdMap<u64, String> = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, map);
+    // Same JSON as the default-hasher map holding the same entries.
+    let plain: std::collections::HashMap<u64, String> = map.clone().into_iter().collect();
+    assert_eq!(serde_json::to_string(&plain).unwrap(), json);
+}
+
+#[test]
 fn serde_default_fills_missing_fields() {
     let d: Defaults = serde_json::from_str("{\"required\":5}").expect("defaults apply");
     assert_eq!(d, Defaults { required: 5, optional_count: 0, optional_name: String::new() });
